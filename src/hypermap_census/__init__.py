@@ -27,7 +27,7 @@ from .core import (
     validate_map_key,
 )
 from .orbifold import OrbifoldSignature, admissible_signatures, epi0, sensed_table
-from .rooted import HomoPoly, RootedCensus, fill_rooted
+from .rooted import HomoPoly, RootedCensus
 from .sequenced import SequencedCensus, degree_list, sub_multisets
 from .series import (
     NoConvergenceError,
@@ -64,7 +64,6 @@ __all__ = [
     "degree_list",
     "epi0",
     "faces_from_key",
-    "fill_rooted",
     "hg_trivariate",
     "hg_univariate",
     "hg_via_t",

@@ -12,6 +12,12 @@ crosscheck  run the cross-engine consistency battery
 cache-info  show the table cache location and contents
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
+
+The check battery is public, for the acceptance tests to run at their own
+bounds: each ``check_*`` returns (first_bad, comparisons), first_bad being None
+or (what, key) of the first failed comparison; :func:`fixture_failures` returns
+FAIL lines.  It lives here because the benchmark's traced run
+(``perfbench/tracing.py``) times the engines through the names imported here.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ from .fixtures import (FixtureFormatError, discover_fixtures, parse_table,
 from .orbifold import sensed_table
 from .rooted import RootedCensus
 from .sequenced import SequencedCensus
-from .series import hg_trivariate, hg_univariate, hg_via_t
+from .series import MAX_UNIVARIATE_GENUS, hg_trivariate, hg_univariate, hg_via_t
 
 DEFAULT_MAX_GENUS = 10
 DEFAULT_MAX_DARTS = 30
 DEEP_MAX_GENUS = 24
 DEEP_MAX_DARTS = 50
 SEQ_DART_CAP = 10
+SEQ_GENUS_CAP = 3
+CROSSCHECK_DEGREE_LISTS = ((), (1,), (2,), (3,), (1, 1), (1, 2), (2, 2))
 
 
 def main(argv=None) -> int:
@@ -52,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact counts of rooted and sensed orientable hypermaps.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def bounds(p, darts_required=True):
+    def bounds(p):
         p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--max-darts", type=int, required=darts_required)
+        p.add_argument("--max-darts", type=int, required=True)
         p.add_argument("--deep", action="store_true",
                        help="raise the bound caps to genus %d / %d darts"
                             % (DEEP_MAX_GENUS, DEEP_MAX_DARTS))
@@ -64,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("kz", "seq"), default="kz")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--seq-cap", type=int, default=SEQ_DART_CAP,
-                   help="dart cap for the seq engine (default %d)" % SEQ_DART_CAP)
     p.set_defaults(func=_cmd_rooted)
 
     p = sub.add_parser("unrooted", help="sensed hypermap census for one genus")
@@ -86,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="cross-engine consistency battery")
     p.add_argument("--max-genus", type=int, default=2)
     p.add_argument("--max-darts", type=int, default=10)
-    p.add_argument("--seq-cap", type=int, default=SEQ_DART_CAP)
     p.add_argument("--only", action="append", metavar="CHECK",
                    choices=("seq", "multiroot", "series", "orbifold"),
                    help="restrict to one or more named checks")
@@ -97,15 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_bounds(args, parser) -> None:
-    max_g = DEEP_MAX_GENUS if args.deep else DEFAULT_MAX_GENUS
-    max_d = DEEP_MAX_DARTS if args.deep else DEFAULT_MAX_DARTS
-    if args.genus < 0 or args.max_darts < 1:
-        parser.error("need --genus >= 0 and --max-darts >= 1")
-    if args.genus > max_g or args.max_darts > max_d:
-        parser.error(
-            f"bounds exceed genus {max_g} / {max_d} darts"
-            + ("" if args.deep else " (use --deep to raise the caps)"))
+def _check_bounds(parser, genus: int, max_darts: int, deep: bool | None) -> None:
+    """Exit 2 unless genus and max_darts lie inside the default caps, or the
+    --deep caps when ``deep``; ``deep`` is None for a subcommand without --deep."""
+    max_g = DEEP_MAX_GENUS if deep else DEFAULT_MAX_GENUS
+    max_d = DEEP_MAX_DARTS if deep else DEFAULT_MAX_DARTS
+    if genus < 0 or max_darts < 1:
+        parser.error("need genus >= 0 and --max-darts >= 1")
+    if genus > max_g or max_darts > max_d:
+        parser.error(f"bounds exceed genus {max_g} / {max_d} darts"
+                     + (" (use --deep to raise the caps)" if deep is False else ""))
 
 
 def _rooted_table(genus: int, max_darts: int, use_cache: bool):
@@ -120,11 +126,10 @@ def _rooted_table(genus: int, max_darts: int, use_cache: bool):
 
 
 def _cmd_rooted(args, parser) -> int:
-    _check_bounds(args, parser)
+    _check_bounds(parser, args.genus, args.max_darts, args.deep)
     if args.engine == "seq":
-        if args.max_darts > args.seq_cap:
-            parser.error(f"the seq engine is capped at {args.seq_cap} darts "
-                         f"(raise with --seq-cap)")
+        if args.max_darts > SEQ_DART_CAP:
+            parser.error(f"the seq engine is capped at {SEQ_DART_CAP} darts")
         table = _seq_table(args.genus, args.max_darts)
     else:
         table = _rooted_table(args.genus, args.max_darts, not args.no_cache)
@@ -132,21 +137,27 @@ def _cmd_rooted(args, parser) -> int:
     return 0
 
 
+def _cells(genera, max_darts: int):
+    """Yield (g, t, f, e, v) for g in ``genera``, 1 <= t <= max_darts and
+    1 <= f, e <= t + 1, with v forced by the genus relation (may be < 1)."""
+    for g in genera:
+        for t in range(1, max_darts + 1):
+            for f in range(1, t + 2):
+                for e in range(1, t + 2):
+                    yield g, t, f, e, faces_from_key(g, t, f, e)  # v from (f, e) by symmetry
+
+
 def _seq_table(genus: int, max_darts: int):
     seq = SequencedCensus()
     table = CountTable(engine="seq", max_genus=genus, max_darts=max_darts)
-    for t in range(1, max_darts + 1):
-        for f in range(1, t + 2):
-            for e in range(1, t + 2):
-                v = faces_from_key(genus, t, f, e)  # symmetric role: v from (f, e)
-                if v < 1:
-                    continue
-                table.add(genus, t, v, e, seq.rooted(genus, t, f, e))
+    for g, t, f, e, v in _cells((genus,), max_darts):
+        if v >= 1:
+            table.add(g, t, v, e, seq.rooted(g, t, f, e))
     return table.freeze()
 
 
 def _cmd_unrooted(args, parser) -> int:
-    _check_bounds(args, parser)
+    _check_bounds(parser, args.genus, args.max_darts, args.deep)
     use_cache = not args.no_cache
     if use_cache:
         cached = cache.load_cached("sensed", args.genus, args.max_darts)
@@ -169,10 +180,9 @@ def _emit(table, args, header: str = "h") -> None:
 
 
 def _cmd_series(args, parser) -> int:
-    if args.genus < 0 or args.genus > 6:
-        parser.error("closed-form series exist for genus 0..6")
-    if args.max_darts < 1:
-        parser.error("need --max-darts >= 1")
+    if not 0 <= args.genus <= MAX_UNIVARIATE_GENUS:
+        parser.error(f"closed-form series exist for genus 0..{MAX_UNIVARIATE_GENUS}")
+    _check_bounds(parser, args.genus, args.max_darts, args.deep)
     h = hg_univariate(args.genus, args.max_darts)
     alt = hg_via_t(args.genus, args.max_darts)
     if h != alt:
@@ -187,6 +197,114 @@ def _cmd_series(args, parser) -> int:
         for d in range(1, args.max_darts + 1):
             print(f"{d:4d}   {coeffs[d]}")
     return 0
+
+
+# -- the check battery ---------------------------------------------------------
+
+def check_seq_vs_kz(rooted, seq, max_genus: int, max_darts: int):
+    """The sequenced oracle's rooted counts equal the kz engine's."""
+    bad, n = None, 0
+    for g, t, f, e, v in _cells(range(max_genus + 1), max_darts):
+        if v < 1:
+            continue
+        n += 1
+        if seq.rooted(g, t, f, e) != rooted.count(g, t, v, e, f):
+            bad = bad or ("seq vs kz", (g, t, f, e))
+    return bad, n
+
+
+def check_multiroot(seq, max_genus: int, max_darts: int, degree_lists):
+    """The direct multirooted recurrence equals the sequenced-count product form."""
+    bad, n = None, 0
+    for g, t, f, e, _ in _cells(range(max_genus + 1), max_darts):
+        for nn in range(1, t + 1):
+            for D in degree_lists:
+                if nn + sum(D) > t:
+                    continue
+                n += 1
+                if seq.multirooted_direct(g, t, f, e, nn, D) != \
+                        seq.multirooted(g, t, f, e, nn, D):
+                    bad = bad or ("multiroot", (g, t, f, e, nn, D))
+    return bad, n
+
+
+def check_univariate(rooted, max_darts: int):
+    """Dart-count series coefficients equal rooted totals, every closed-form genus."""
+    bad, n = None, 0
+    for g in range(MAX_UNIVARIATE_GENUS + 1):
+        h = hg_univariate(g, max_darts)
+        for d in range(1, max_darts + 1):
+            n += 1
+            if h.coefficient(d) != rooted.total(g, d):
+                bad = bad or ("series univariate", (g, d))
+    return bad, n
+
+
+def check_trivariate(rooted, max_genus: int, degree: int):
+    """Trivariate series coefficients below total degree ``degree`` equal
+    rooted counts, where the census reaches the dart count."""
+    bad, n = None, 0
+    for g in range(max_genus + 1):
+        tri = hg_trivariate(g, degree)
+        for v in range(1, degree + 1):
+            for e in range(1, degree + 1 - v):
+                for f in range(1, degree + 1 - v - e):
+                    t = v + e + f - 2 + 2 * g
+                    if t > rooted.max_darts:
+                        continue
+                    n += 1
+                    if tri.coefficient(v, e, f) != rooted.count(g, t, v, e, f):
+                        bad = bad or ("series trivariate", (g, v, e, f))
+    return bad, n
+
+
+def check_parameterizations(order: int):
+    """The tau- and t-parameterized dart series agree to ``order``."""
+    bad = None
+    for g in range(MAX_UNIVARIATE_GENUS + 1):
+        if hg_univariate(g, order) != hg_via_t(g, order):
+            bad = bad or ("parameterization", (g,))
+    return bad, MAX_UNIVARIATE_GENUS + 1
+
+
+def check_sandwich(rooted, max_genus: int, max_darts: int):
+    """Sensed tables (exact division asserted inside) satisfy the Burnside
+    sandwich rooted <= E * sensed, sensed <= rooted."""
+    bad, n = None, 0
+    for G in range(max_genus + 1):
+        sensed = sensed_table(G, max_darts, rooted)
+        for E in range(1, max_darts + 1):
+            for (f, b, w), r in rooted.poly(G, E).terms():
+                n += 1
+                c = sensed.count(G, E, w, b)
+                if not (r <= E * c and c <= r):
+                    bad = bad or ("burnside sandwich", (G, E, w, b, f))
+        for (g, E, v, e), c in sensed.items():
+            if rooted.count(g, E, v, e, faces_from_key(g, E, v, e)) < c:
+                bad = bad or ("sensed exceeds rooted", (G, E, v, e))
+    return bad, n
+
+
+def fixture_failures(name: str, genus: int, table, rows, sums) -> list[str]:
+    """``FAIL`` lines for every fixture row or sum ``table`` does not reproduce
+    and for every row ``table`` has that the fixture leaves out."""
+    out = []
+    for r in rows:
+        ok = validate_hypermap_key(genus, r.darts, r.vertices, r.hyperedges, r.faces)
+        got = table.count(genus, r.darts, r.vertices, r.hyperedges) if ok else "invalid key"
+        if got != r.count or not got:  # a printed row is never a zero count
+            out.append(f"FAIL {name}: d={r.darts} v={r.vertices} e={r.hyperedges} "
+                       f"f={r.faces}: fixture {r.count}, computed {got}")
+    printed = {(r.darts, r.vertices, r.hyperedges) for r in rows}
+    for (g, t, v, e), c in sorted(table.items()):
+        if (t, v, e) not in printed:
+            out.append(f"FAIL {name}: d={t} v={v} e={e} f={faces_from_key(g, t, v, e)}: "
+                       f"missing row, computed {c}")
+    for s in sums:
+        got = table.total(genus, s.darts)
+        if got != s.total:
+            out.append(f"FAIL {name}: d={s.darts} sum: fixture {s.total}, computed {got}")
+    return out
 
 
 def _cmd_verify(args, parser) -> int:
@@ -209,141 +327,58 @@ def _cmd_verify(args, parser) -> int:
         if max_darts == 0:
             print(f"{path.name}: empty fixture")
             continue
+        _check_bounds(parser, genus, max_darts, None)
         rooted = RootedCensus(genus, max_darts)
         table = rooted.table(genus) if kind == "rooted" else \
             sensed_table(genus, max_darts, rooted)
-        file_failures = 0
-        for r in rows:
-            checked += 1
-            ok = validate_hypermap_key(genus, r.darts, r.vertices, r.hyperedges, r.faces)
-            got = table.count(genus, r.darts, r.vertices, r.hyperedges) if ok else None
-            if not ok or got != r.count:
-                file_failures += 1
-                print(f"FAIL {path.name}: d={r.darts} v={r.vertices} "
-                      f"e={r.hyperedges} f={r.faces}: fixture {r.count}, "
-                      f"computed {got if ok else 'invalid key'}")
-        for s in sums:
-            checked += 1
-            got = table.total(genus, s.darts)
-            if got != s.total:
-                file_failures += 1
-                print(f"FAIL {path.name}: d={s.darts} sum: fixture {s.total}, "
-                      f"computed {got}")
-        failures += file_failures
-        status = "OK" if file_failures == 0 else f"{file_failures} FAILED"
+        lines = fixture_failures(path.name, genus, table, rows, sums)
+        for line in lines:
+            print(line)
+        checked += len(rows) + len(sums)
+        failures += len(lines)
+        status = f"{len(lines)} FAILED" if lines else "OK"
         print(f"{path.name}: {len(rows)} rows + {len(sums)} sums {status}")
     print(f"verify: {checked} checks, {failures} failures")
     return 1 if failures else 0
 
 
 def _cmd_crosscheck(args, parser) -> int:
-    if args.max_genus < 0 or args.max_darts < 1:
-        parser.error("need --max-genus >= 0 and --max-darts >= 1")
-    only = set(args.only or ())
-    run_all = not only
     max_g, max_d = args.max_genus, args.max_darts
-
-    seq_g, seq_d = max_g, min(max_d, args.seq_cap)
+    _check_bounds(parser, max_g, max_d, None)
+    seq_g, seq_d = min(max_g, SEQ_GENUS_CAP), min(max_d, SEQ_DART_CAP)
     if seq_d < max_d:
         print(f"note: seq engine capped at {seq_d} darts (requested {max_d})")
-    if seq_g > 3:
-        print(f"note: seq engine capped at genus 3 (requested {seq_g})")
-        seq_g = 3
+    if seq_g < max_g:
+        print(f"note: seq engine capped at genus {seq_g} (requested {max_g})")
 
-    rooted = RootedCensus(max(max_g, 6), max(max_d, 2))
+    rooted = RootedCensus(max(max_g, MAX_UNIVARIATE_GENUS), max(max_d, 2))
     seq = SequencedCensus()
-    failed: list[str] = []
-
-    def report(name: str, first_bad, n: int) -> None:
-        if first_bad is None:
+    battery = (
+        ("seq", "rooted engines agree (kz vs seq)",
+         lambda: check_seq_vs_kz(rooted, seq, seq_g, seq_d)),
+        ("multiroot", "multirooted relation (direct vs product)",
+         lambda: check_multiroot(seq, seq_g, min(8, seq_d), CROSSCHECK_DEGREE_LISTS)),
+        ("series", "dart series vs rooted totals (genus 0..6)",
+         lambda: check_univariate(rooted, max_d)),
+        ("series", "trivariate series vs rooted counts",
+         lambda: check_trivariate(rooted, min(max_g, 2), min(max_d, 12))),
+        ("series", "parameterization equivalence (tau vs t)",
+         lambda: check_parameterizations(max_d + 2)),
+        ("orbifold", "burnside sandwich and exact divisibility",
+         lambda: check_sandwich(rooted, min(max_g, 6), max_d)),
+    )
+    failed = 0
+    for group, name, check in battery:
+        if args.only and group not in args.only:
+            continue
+        bad, n = check()
+        if bad is None:
             print(f"{name}: PASS ({n} comparisons)")
         else:
-            print(f"{name}: FAIL at {first_bad}")
-            failed.append(name)
-
-    if run_all or "seq" in only:
-        bad = None
-        n = 0
-        for g in range(seq_g + 1):
-            for t in range(1, seq_d + 1):
-                for f in range(1, t + 2):
-                    for e in range(1, t + 2):
-                        v = t + 2 * (1 - g) - e - f
-                        if v < 1:
-                            continue
-                        n += 1
-                        if seq.rooted(g, t, f, e) != rooted.count(g, t, v, e, f):
-                            bad = bad or ("seq vs kz", (g, t, f, e))
-        report("rooted engines agree (kz vs seq)", bad, n)
-
-    if run_all or "multiroot" in only:
-        bad = None
-        n = 0
-        for g in range(seq_g + 1):
-            for t in range(1, min(8, seq_d) + 1):
-                for f in range(1, t + 2):
-                    for e in range(1, t + 2):
-                        for nn in range(1, t + 1):
-                            for D in ((), (1,), (2,), (3,), (1, 1), (1, 2), (2, 2)):
-                                if nn + sum(D) > t:
-                                    continue
-                                n += 1
-                                if seq.multirooted_direct(g, t, f, e, nn, D) != \
-                                        seq.multirooted(g, t, f, e, nn, D):
-                                    bad = bad or ("multiroot", (g, t, f, e, nn, D))
-        report("multirooted relation (direct vs product)", bad, n)
-
-    if run_all or "series" in only:
-        bad = None
-        n = 0
-        for g in range(0, 7):
-            h = hg_univariate(g, max_d)
-            for d in range(1, max_d + 1):
-                n += 1
-                if h.coefficient(d) != rooted.total(g, d):
-                    bad = bad or ("series univariate", (g, d))
-        report("dart series vs rooted totals (genus 0..6)", bad, n)
-
-        bad = None
-        n = 0
-        deg = min(max_d, 12)
-        for g in range(0, min(max_g, 2) + 1):
-            tri = hg_trivariate(g, deg)
-            for v in range(1, deg + 1):
-                for e in range(1, deg + 1 - v):
-                    for f in range(1, deg + 1 - v - e):
-                        t = v + e + f - 2 + 2 * g
-                        if t > rooted.max_darts:
-                            continue
-                        n += 1
-                        if tri.coefficient(v, e, f) != rooted.count(g, t, v, e, f):
-                            bad = bad or ("series trivariate", (g, v, e, f))
-        report("trivariate series vs rooted counts", bad, n)
-
-        bad = None
-        for g in range(0, 7):
-            if hg_univariate(g, max_d + 2) != hg_via_t(g, max_d + 2):
-                bad = bad or ("parameterization", (g,))
-        report("parameterization equivalence (tau vs t)", bad, 7)
-
-    if run_all or "orbifold" in only:
-        bad = None
-        n = 0
-        for G in range(0, min(max_g, 6) + 1):
-            sensed = sensed_table(G, max_d, rooted)  # divisibility asserted inside
-            for E in range(1, max_d + 1):
-                for (f, b, w), r in rooted.poly(G, E).terms():
-                    n += 1
-                    c = sensed.count(G, E, w, b)
-                    if not (r <= E * c and c <= r):
-                        bad = bad or ("burnside sandwich", (G, E, w, b, f))
-            for (g, E, v, e), c in sensed.items():
-                if rooted.count(g, E, v, e, faces_from_key(g, E, v, e)) < c:
-                    bad = bad or ("sensed exceeds rooted", (G, E, v, e))
-        report("burnside sandwich and exact divisibility", bad, n)
-
+            print(f"{name}: FAIL at {bad}")
+            failed += 1
     if failed:
-        print(f"crosscheck: {len(failed)} check(s) failed")
+        print(f"crosscheck: {failed} check(s) failed")
         return 1
     print("crosscheck: all checks passed")
     return 0

@@ -195,7 +195,3 @@ class RootedCensus:
                 out.add(genus, d, deg - f - b, b, c)
         return out.freeze()
 
-
-def fill_rooted(max_genus: int, max_darts: int) -> RootedCensus:
-    """Fill the rooted census up to the given bounds."""
-    return RootedCensus(max_genus, max_darts)

@@ -38,11 +38,8 @@ iterate sub-multisets weighted by the number of sublists realizing each one
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from math import comb, prod
-
-sys.setrecursionlimit(1_000_000)
 
 
 def degree_list(D) -> tuple[int, ...]:

@@ -58,6 +58,26 @@ def test_bounds_cap_without_deep():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--genus", "0", "--max-darts", "31"],
+    ["crosscheck", "--max-darts", "31"],
+    ["crosscheck", "--max-genus", "11"],
+    ["rooted", "--genus", "0", "--max-darts", "12", "--engine", "seq", "--seq-cap", "12"],
+])
+def test_out_of_bounds_is_one_line_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_series_deep_raises_the_dart_cap(capsys):
+    assert main(["series", "--genus", "0", "--max-darts", "31", "--deep"]) == 0
+    lines = norm_lines(capsys.readouterr().out)
+    assert len(lines) == 31 and lines[4] == "5 288"
+
+
 def test_unrooted_genus0(capsys):
     assert main(["unrooted", "--genus", "0", "--max-darts", "4"]) == 0
     lines = norm_lines(capsys.readouterr().out)
@@ -122,6 +142,25 @@ def test_verify_detects_single_perturbed_value(tmp_path, capsys, fixtures_dir):
     fail_lines = [l for l in out.splitlines() if l.startswith("FAIL ")]
     assert len(fail_lines) == 1
     assert "d=13" in fail_lines[0]
+
+
+def test_verify_detects_missing_row(tmp_path, capsys, fixtures_dir):
+    lines = (fixtures_dir / "rooted-g0.txt").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.split() != ["4", "2", "2", "2", "17"]]
+    assert len(kept) == len(lines) - 1
+    (tmp_path / "rooted-g0.txt").write_text("".join(kept))
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    fail_lines = [l for l in out.splitlines() if l.startswith("FAIL ")]
+    assert fail_lines == ["FAIL rooted-g0.txt: d=4 v=2 e=2 f=2: missing row, computed 17"]
+    assert "1 failures" in out
+
+
+def test_verify_fixture_beyond_caps_is_usage_error(tmp_path):
+    (tmp_path / "rooted-g11.txt").write_text("  23   1   1   1   1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fixtures", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_verify_empty_directory_is_usage_error(tmp_path):

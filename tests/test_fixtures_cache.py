@@ -1,7 +1,10 @@
+import zlib
+
 import pytest
 
 from hypermap_census import RootedCensus
 from hypermap_census import cache
+from hypermap_census.cli import main
 from hypermap_census.fixtures import (
     FixtureFormatError,
     FixtureRow,
@@ -117,3 +120,39 @@ def test_cache_ignores_foreign_files(tmp_path):
     (root / "junk.counts").write_text("not a cache file\n")
     assert cache.read_header(root / "junk.counts") is None
     assert list(cache.cache_entries()) == []
+
+
+def _resealed(lines):
+    """The lines with a trailer that matches their (damaged) rows."""
+    rows = lines[2:-1]
+    body = "".join(row + "\n" for row in rows)
+    return lines[:-1] + [f"# rows={len(rows)} crc32={zlib.crc32(body.encode()):08x}"]
+
+
+DAMAGE = {
+    "truncated": lambda lines: lines[:-3],
+    "duplicated-line": lambda lines: lines[:3] + lines[2:],
+    "garbage-line": lambda lines: lines[:3] + ["not a row"] + lines[3:],
+    "duplicated-line-resealed": lambda lines: _resealed(lines[:3] + lines[2:]),
+    "garbage-line-resealed": lambda lines: _resealed(lines[:3] + ["1 6 2 x 7"] + lines[3:]),
+    "header-of-another-table":
+        lambda lines: [lines[0], lines[1].replace("max-darts=6", "max-darts=5")] + lines[2:],
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_damaged_cache_file_is_recomputed(damage, capsys):
+    argv = ["rooted", "--genus", "1", "--max-darts", "6"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert "6 sum 1611" in [" ".join(line.split()) for line in fresh.splitlines()]
+    path = cache.table_path("kz", 1, 6)
+    path.write_text("\n".join(DAMAGE[damage](path.read_text().splitlines())) + "\n")
+    assert cache.load_cached("kz", 1, 6) is None
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert cache.load_cached("kz", 1, 6) == RootedCensus(1, 6).table(1)   # rewritten
+    assert capsys.readouterr().err == ""

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hypermap_census import NotFilledError, RootedCensus, fill_rooted
+from hypermap_census import NotFilledError, RootedCensus
 from bruteforce import hypermap_census_by_pairs
 
 
@@ -75,9 +75,9 @@ def test_not_filled_errors(census14):
 
 def test_fill_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        fill_rooted(-1, 5)
+        RootedCensus(-1, 5)
     with pytest.raises(ValueError):
-        fill_rooted(0, 0)
+        RootedCensus(0, 0)
 
 
 def test_table_export_matches_counts(census14):

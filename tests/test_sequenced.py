@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hypermap_census import SequencedCensus, degree_list, sub_multisets
@@ -171,3 +176,13 @@ def test_fresh_census_is_deterministic():
     b = SequencedCensus()
     assert a.rooted(1, 5, 2, 2) == b.rooted(1, 5, 2, 2)
     assert a.hypermap(1, 5, 2, 2, 3, (1,)) == b.hypermap(1, 5, 2, 2, 3, (1,))
+
+
+def test_import_leaves_recursion_limit_alone():
+    code = ("import sys; before = sys.getrecursionlimit(); "
+            "import hypermap_census, hypermap_census.cli; "
+            "print(before, sys.getrecursionlimit())")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == out[1]
