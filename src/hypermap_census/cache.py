@@ -10,10 +10,11 @@ Format: a line-oriented text file, chosen over binary for diff-ability.
 
 Counts are decimal big integers.  The trailer holds the number of rows and
 the CRC-32 of their text, so a truncated, edited or half-written file is
-recognised: :func:`load_table` then serves nothing and says so in one line on
-stderr, and the caller recomputes the table and overwrites the file.  Writes
-are atomic (temp file in the same directory, then rename).  The cache
-directory is ``$HYPERMAP_CACHE_DIR`` if set, else ``~/.cache/hypermap-census``.
+recognised, as is a file whose header names another table than its file name:
+:func:`load_table` then serves nothing and says so in one line on stderr, and
+the caller recomputes the table and overwrites the file.  Writes are atomic
+(temp file in the same directory, then rename).  The cache directory is
+``$HYPERMAP_CACHE_DIR`` if set, else ``~/.cache/hypermap-census``.
 """
 
 from __future__ import annotations
@@ -77,17 +78,6 @@ def _header(magic: str, meta: str) -> dict | None:
     return fields
 
 
-def read_header(path: Path) -> dict | None:
-    """The header fields of a cache file, or None if it is not one of ours."""
-    try:
-        with open(path) as fh:
-            magic = fh.readline().rstrip("\n")
-            meta = fh.readline().rstrip("\n")
-    except OSError:
-        return None
-    return _header(magic, meta)
-
-
 def _parse(text: str) -> CountTable:
     """The table in a cache file's text; ValueError or CensusError if damaged."""
     lines = text.split("\n")
@@ -114,11 +104,21 @@ def _refuse(path: Path, reason) -> None:
     print(f"warning: ignoring cache file {path}: {reason}", file=sys.stderr)
 
 
+def _read(path: Path) -> CountTable:
+    """The table in the cache file ``path``; OSError, ValueError or CensusError
+    when the file cannot be read, is damaged or names another table."""
+    table = _parse(path.read_text())
+    if path.name != table_path(table.engine, table.max_genus, table.max_darts).name:
+        raise ValueError("its header names another table")
+    return table
+
+
 def load_table(path: Path) -> CountTable | None:
     """The table stored at ``path``, or None, with one line on stderr, when the
-    file cannot be read or is not an intact cache file."""
+    file cannot be read, is not an intact cache file or its header names
+    another table than its file name does."""
     try:
-        return _parse(path.read_text())
+        return _read(path)
     except (OSError, ValueError, CensusError) as exc:
         _refuse(path, exc)
         return None
@@ -128,20 +128,20 @@ def load_cached(engine: str, genus: int, max_darts: int) -> CountTable | None:
     path = table_path(engine, genus, max_darts)
     if not path.exists():
         return None
-    table = load_table(path)
-    if table is None or (table.engine, table.max_genus, table.max_darts) == \
-            (engine, genus, max_darts):
-        return table
-    _refuse(path, "its header names another table")
-    return None
+    return load_table(path)
 
 
 def cache_entries():
-    """Yield (path, header) for every cache file in the cache directory."""
+    """Yield (path, status) for every ``*.counts`` file in the cache directory:
+    status is "ok" for a file :func:`load_table` serves, else the reason it
+    refuses the file."""
     root = cache_dir()
     if not root.is_dir():
         return
-    for path in sorted(root.iterdir()):
-        header = read_header(path)
-        if header is not None:
-            yield path, header
+    for path in sorted(root.glob("*.counts")):
+        try:
+            _read(path)
+        except (OSError, ValueError, CensusError) as exc:
+            yield path, str(exc)
+        else:
+            yield path, "ok"

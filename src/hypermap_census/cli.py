@@ -9,7 +9,7 @@ series      dart-count totals from the closed-form series (both parameter
             routes, cross-checked)
 verify      recompute every row of fixture files and report mismatches
 crosscheck  run the cross-engine consistency battery
-cache-info  show the table cache location and contents
+cache-info  show the table cache location and whether each file is served
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
 
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to one or more named checks")
     p.set_defaults(func=_cmd_crosscheck)
 
-    p = sub.add_parser("cache-info", help="show cache location and contents")
+    p = sub.add_parser("cache-info", help="show cache location and file status")
     p.set_defaults(func=_cmd_cache_info)
     return parser
 
@@ -392,9 +392,8 @@ def _cmd_cache_info(args, parser) -> int:
     if not entries:
         print("no cached tables")
         return 0
-    for path, header in entries:
-        print(f"  {path.name}: engine={header['engine']} genus={header['genus']} "
-              f"max-darts={header['max-darts']} ({path.stat().st_size} bytes)")
+    for path, status in entries:
+        print(f"  {path.name}: " + (status if status == "ok" else f"not served, {status}"))
     return 0
 
 

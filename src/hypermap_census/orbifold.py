@@ -110,27 +110,17 @@ def admissible_signatures(G: int, L: int) -> list[OrbifoldSignature]:
 
 
 def _deficiency_multisets(need, parts, L):
-    if need == 0:
-        yield ()
-        return
-    if not parts:
-        return
-    out = []
-
+    """Orbit-length multisets (sorted tuples) whose deficiencies, taken from
+    the distinct values ``parts``, sum to ``need``."""
     def rec(rem, idx, acc):
         if rem == 0:
-            out.append(tuple(sorted(acc)))
-            return
-        if idx == len(parts):
-            return
-        p = parts[idx]
-        k = 0
-        while k * p <= rem:
-            rec(rem - k * p, idx + 1, acc + [L - p] * k)
-            k += 1
+            yield tuple(sorted(acc))
+        elif idx < len(parts):
+            p = parts[idx]
+            for k in range(rem // p + 1):
+                yield from rec(rem - k * p, idx + 1, acc + [L - p] * k)
 
-    rec(need, 0, [])
-    yield from out
+    return rec(need, 0, [])
 
 
 def epi0(sig: OrbifoldSignature) -> int:
@@ -230,14 +220,11 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                 Bb = sum(i * x[1] for i, x in dist.items())
                 Fb = sum(i * x[2] for i, x in dist.items())
                 for d in range(1, max_darts // L + 1):
-                    deg = d + 2 - 2 * g
                     for (f, b, w), n_quot in rooted.poly(g, d).terms():
                         if w < sw or b < sb or f < sf:
                             continue
                         weight = (_multinomial(w, ws) * _multinomial(b, bs)
                                   * _multinomial(f, fs))
-                        if weight == 0:
-                            continue
                         key = (L * d,
                                L * (w - sw) + Wb,
                                L * (b - sb) + Bb,

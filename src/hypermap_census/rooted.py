@@ -105,7 +105,7 @@ class RootedCensus:
                         for k in ((f + 1, b), (f, b + 1), (f, b)):
                             rhs[k] = rhs.get(k, 0) + ca
                 prev2 = polys.get((g, d - 2))
-                if prev2 and d > 2:
+                if prev2:
                     c = d - 2
                     for (f, b), a in prev2.items():
                         ca = c * a
@@ -116,7 +116,7 @@ class RootedCensus:
                         rhs[f, b + 2] = rhs.get((f, b + 2), 0) - ca
                         rhs[f, b] = rhs.get((f, b), 0) - ca
                 lower = polys.get((g - 1, d - 2))
-                if lower and d > 2:
+                if lower:
                     c = (d - 1) * (d - 1) * (d - 2)
                     for k, a in lower.items():
                         rhs[k] = rhs.get(k, 0) + c * a

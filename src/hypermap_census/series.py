@@ -1,14 +1,14 @@
 """Power-series verification of the closed parametric generating functions.
 
-Two series domains are implemented with exact rational coefficients:
+Two series domains are implemented with exact integer coefficients:
 
 * :class:`USeries` - univariate, truncated at a fixed order N, for the
   dart-count series H_g(z) of genus g <= 6.  These are given in closed form
   through an auxiliary parameter: either tau with z = tau*(1 - 2*tau), or t
-  with z = t/(1 + 2*t)**2.  Both parameters are developed as series in z by
-  fixed-point iteration (each iteration gains one order; correctness of the
-  defining relation is asserted), the printed rational expressions are
-  composed on top, and the two routes must agree coefficientwise.
+  with z = t/(1 + 2*t)**2.  Both parameters are developed as series in z one
+  degree at a time (correctness of the defining relation is asserted), the
+  printed rational expressions are composed on top, and the two routes must
+  agree coefficientwise.
 
 * :class:`TSeries` - trivariate by total degree, for the vertex/hyperedge/
   face-refined series H_g(x, y, u) of genus g <= 2.  The parameters p, q, r
@@ -16,20 +16,16 @@ Two series domains are implemented with exact rational coefficients:
   p*q*r*(1-p-q-r) and the positive-genus ones are rational expressions in
   p, q, r with the square-bracket kernel (1-p-q-r)**2 - 4*p*q*r.
 
-Every final series must have nonnegative integer coefficients even though
-the arithmetic runs over rationals; this is asserted, not assumed, and a
-failure points at a transcription slip in the embedded coefficient data
+Every denominator the closed forms divide by has constant term 1, so the
+inverses are integral and no rational arithmetic is needed:
+:meth:`USeries.inverse` and :meth:`TSeries.inverse` accept only a constant
+term of +-1.  Every final series must still have nonnegative integer
+coefficients; this is asserted, not assumed, and a failure points at a
+transcription slip in the embedded coefficient data
 (:mod:`hypermap_census.series_data`).
-
-Coefficients are exact rationals throughout; values that happen to be
-integers are kept as ``int`` (Python's numeric tower makes the two
-interoperable), so a ``Fraction`` can only appear through an inexact
-division and the integrality assertions stay meaningful.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .core import CensusError
 from .series_data import GENUS_NUMERATOR_T, GENUS_NUMERATOR_TAU, PLANAR_BRACKET_POLY
@@ -47,18 +43,31 @@ class NonIntegerCoefficientError(SeriesError):
 
 
 class ValuationError(SeriesError):
-    """A series does not vanish to the order required for an exact shift."""
+    """A series lacks the low-order terms an exact shift or inverse needs."""
 
 
 class NoConvergenceError(SeriesError):
-    """A fixed-point iteration failed to satisfy its defining relation."""
+    """A parameter series does not satisfy its defining relation."""
 
 
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return Fraction(a) / b
+def _power(base, k: int):
+    """base**k by repeated squaring; base is a USeries or a TSeries."""
+    result = type(base).constant(1, base.order)
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def _unit(c0) -> int:
+    """The constant term of a series to invert, which must be +-1 (then it is
+    its own inverse and every coefficient of the inverse is an integer)."""
+    if c0 not in (1, -1):
+        raise ValuationError(f"cannot invert a series with constant term {c0}")
+    return c0
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +99,6 @@ class USeries:
         if k > self.order:
             raise IndexError(f"order {k} beyond truncation {self.order}")
         return self.c[k]
-
-    def truncate(self, order: int) -> "USeries":
-        if order > self.order:
-            raise ValuationError(f"cannot extend truncation {self.order} to {order}")
-        return USeries(self.c[: order + 1], order)
 
     def _coerce(self, other):
         if isinstance(other, USeries):
@@ -136,32 +140,15 @@ class USeries:
         return USeries(out, n)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        result = USeries.constant(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    __pow__ = _power
 
     def inverse(self) -> "USeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.c[0]
-        if c0 == 0:
-            raise ValuationError("cannot invert a series with zero constant term")
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = _exact_div(1, c0)
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if self.c[i] != 0:
-                    acc += self.c[i] * out[k - i]
-            out[k] = _exact_div(-acc, c0)
-        return USeries(out, n)
+        """Multiplicative inverse; requires a constant term of +-1."""
+        c0 = _unit(self.c[0])
+        out = [c0]
+        for k in range(1, self.order + 1):
+            out.append(-c0 * sum(self.c[i] * out[k - i] for i in range(1, k + 1)))
+        return USeries(out, self.order)
 
     def shift_down(self, k: int) -> "USeries":
         """Exact division by z**k; the first k coefficients must vanish."""
@@ -177,12 +164,10 @@ class USeries:
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as nonnegative ints; error if any coefficient is not."""
-        out = []
         for i, a in enumerate(self.c):
-            if a < 0 or (isinstance(a, Fraction) and a.denominator != 1):
+            if not isinstance(a, int) or a < 0:
                 raise NonIntegerCoefficientError(f"coefficient of z^{i} is {a}")
-            out.append(int(a))
-        return out
+        return list(self.c)
 
     def __eq__(self, other):
         return isinstance(other, USeries) and self.order == other.order \
@@ -202,29 +187,32 @@ def _poly_of(series: USeries, coeffs) -> USeries:
 
 
 def tau_of_z(order: int) -> USeries:
-    """The series tau(z) with tau(0) = 0 solving tau - 2*tau**2 = z."""
+    """The series tau(z) with tau(0) = 0 solving tau - 2*tau**2 = z.
+
+    Degree k of tau = z + 2*tau**2 involves only lower degrees of tau."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    z = USeries.identity(order)
-    tau = USeries.constant(0, order)
-    for _ in range(order):
-        tau = z + 2 * (tau * tau)
-    if tau * (1 - 2 * tau) != z:
-        raise NoConvergenceError("tau iteration did not close the defining relation")
+    c = [0, 1]
+    for k in range(2, order + 1):
+        c.append(2 * sum(c[i] * c[k - i] for i in range(1, k)))
+    tau = USeries(c, order)
+    if tau * (1 - 2 * tau) != USeries.identity(order):
+        raise NoConvergenceError("tau series does not close the defining relation")
     return tau
 
 
 def t_of_z(order: int) -> USeries:
-    """The series t(z) with t(0) = 0 solving t = z*(1 + 2*t)**2."""
+    """The series t(z) with t(0) = 0 solving t = z*(1 + 2*t)**2.
+
+    Degree k of t = z*(1 + 4*t + 4*t**2) involves only lower degrees of t."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    z = USeries.identity(order)
-    t = USeries.constant(0, order)
-    for _ in range(order):
-        w = 1 + 2 * t
-        t = z * (w * w)
-    if t != z * ((1 + 2 * t) ** 2):
-        raise NoConvergenceError("t iteration did not close the defining relation")
+    c = [0, 1]
+    for k in range(2, order + 1):
+        c.append(4 * c[k - 1] + 4 * sum(c[i] * c[k - 1 - i] for i in range(1, k - 1)))
+    t = USeries(c, order)
+    if t != USeries.identity(order) * ((1 + 2 * t) ** 2):
+        raise NoConvergenceError("t series does not close the defining relation")
     return t
 
 
@@ -270,32 +258,67 @@ def hg_via_t(g: int, order: int) -> USeries:
 # trivariate series
 # ---------------------------------------------------------------------------
 
-class TSeries:
-    """Series in (x, y, u) truncated by total degree, sparse over exponent triples.
+def _product_part(a: list, b: list, k: int) -> dict:
+    """The degree-k part of the product of two series given by their degree
+    parts; a degree beyond the end of either list counts as zero."""
+    out: dict = {}
+    for i in range(max(0, k + 1 - len(b)), min(k, len(a) - 1) + 1):
+        bj = b[k - i]
+        for (a1, b1, c1), v1 in a[i].items():
+            for (a2, b2, c2), v2 in bj.items():
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                out[key] = out.get(key, 0) + v1 * v2
+    return {key: v for key, v in out.items() if v}
 
+
+def _sum_part(a: dict, b: dict) -> dict:
+    """The sum of two degree parts, without zero terms."""
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+class TSeries:
+    """Series in (x, y, u) truncated at total degree ``order``.
+
+    Terms are stored by total degree: ``parts[k]`` maps each exponent triple
+    of degree k to its nonzero integer coefficient, so the degree-k part of a
+    product needs only parts of degree <= k (:func:`_product_part`), and a
+    series defined by a triangular relation is solved one degree at a time.
     Exponents of x, y, u count vertices, hyperedges and faces respectively.
     """
 
-    __slots__ = ("order", "d")
+    __slots__ = ("order", "parts")
 
-    def __init__(self, terms: dict, order: int):
+    def __init__(self, parts: list, order: int):
         self.order = order
-        self.d = {k: v for k, v in terms.items() if v != 0 and sum(k) <= order}
+        self.parts = parts
 
     @classmethod
     def constant(cls, value, order: int) -> "TSeries":
-        return cls({(0, 0, 0): value}, order)
+        parts = [{} for _ in range(order + 1)]
+        if value:
+            parts[0][0, 0, 0] = value
+        return cls(parts, order)
 
     @classmethod
     def variable(cls, name: str, order: int) -> "TSeries":
         idx = {"x": 0, "y": 1, "u": 2}[name]
-        key = tuple(1 if i == idx else 0 for i in range(3))
-        return cls({key: 1}, order)
+        out = cls.constant(0, order)
+        out.parts[1][tuple(1 if i == idx else 0 for i in range(3))] = 1
+        return out
+
+    @property
+    def d(self) -> dict:
+        """All terms as one {(vertices, hyperedges, faces): coefficient} dict."""
+        return {key: v for part in self.parts for key, v in part.items()}
 
     def coefficient(self, vertices: int, hyperedges: int, faces: int):
-        if vertices + hyperedges + faces > self.order:
+        k = vertices + hyperedges + faces
+        if k > self.order:
             raise IndexError("total degree beyond truncation")
-        return self.d.get((vertices, hyperedges, faces), 0)
+        return self.parts[k].get((vertices, hyperedges, faces), 0)
 
     def _coerce(self, other):
         if isinstance(other, TSeries):
@@ -306,14 +329,8 @@ class TSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.d)
-        for k, v in other.d.items():
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TSeries(out, self.order)
+        return TSeries([_sum_part(a, b) for a, b in zip(self.parts, other.parts)],
+                       self.order)
 
     __radd__ = __add__
 
@@ -326,55 +343,31 @@ class TSeries:
     def __mul__(self, other):
         if not isinstance(other, TSeries):
             if other == 0:
-                return TSeries({}, self.order)
-            return TSeries({k: v * other for k, v in self.d.items()}, self.order)
+                return TSeries.constant(0, self.order)
+            return TSeries([{key: v * other for key, v in part.items()}
+                            for part in self.parts], self.order)
         if other.order != self.order:
             raise ValueError("mixed truncation orders")
-        n = self.order
-        out: dict = {}
-        for (a1, b1, c1), v1 in self.d.items():
-            room = n - a1 - b1 - c1
-            for (a2, b2, c2), v2 in other.d.items():
-                if a2 + b2 + c2 > room:
-                    continue
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(k, 0) + v1 * v2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return TSeries(out, n)
+        return TSeries([_product_part(self.parts, other.parts, k)
+                        for k in range(self.order + 1)], self.order)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        result = TSeries.constant(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+    __pow__ = _power
 
     def inverse(self) -> "TSeries":
-        c0 = self.d.get((0, 0, 0), 0)
-        if c0 == 0:
-            raise ValuationError("cannot invert a series with zero constant term")
-        # geometric series in the positive-valuation part; one round per degree
-        m = TSeries({k: _exact_div(-v, c0) for k, v in self.d.items()
-                     if k != (0, 0, 0)}, self.order)
-        out = TSeries.constant(1, self.order)
-        p = TSeries.constant(1, self.order)
-        for _ in range(self.order):
-            p = p * m
-            if not p.d:
-                break
-            out = out + p
-        return out * _exact_div(1, c0)
+        """Multiplicative inverse; requires a constant term of +-1.  Degree k
+        of the inverse is -c0 times the degree-k part of (self - c0) * inverse,
+        which involves only lower degrees of the inverse."""
+        c0 = _unit(self.parts[0].get((0, 0, 0), 0))
+        out = [{(0, 0, 0): c0}]
+        for k in range(1, self.order + 1):
+            out.append({key: -c0 * v
+                        for key, v in _product_part(self.parts, out, k).items()})
+        return TSeries(out, self.order)
 
     def __eq__(self, other):
-        return isinstance(other, TSeries) and self.order == other.order and self.d == other.d
+        return isinstance(other, TSeries) and self.order == other.order \
+            and self.parts == other.parts
 
 
 def pqr_of_xyu(order: int) -> tuple[TSeries, TSeries, TSeries]:
@@ -382,18 +375,21 @@ def pqr_of_xyu(order: int) -> tuple[TSeries, TSeries, TSeries]:
 
         x = p*(1-q-r),   u = q*(1-p-r),   y = r*(1-p-q)
 
-    to total degree ``order``, by the equivalent division-free fixed point
-    p <- x + p*(q+r) etc., which gains one exact degree per round."""
+    to total degree ``order``, through the equivalent division-free form
+    p = x + p*q + p*r etc.: with no constant terms, degree k of each product
+    involves only lower degrees, so the system is solved one degree at a time."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    x = TSeries.variable("x", order)
-    y = TSeries.variable("y", order)
-    u = TSeries.variable("u", order)
-    p = q = r = TSeries({}, order)
-    for _ in range(order):
-        p, q, r = x + p * (q + r), u + q * (p + r), y + r * (p + q)
+    p, q, r = [{}, {(1, 0, 0): 1}], [{}, {(0, 0, 1): 1}], [{}, {(0, 1, 0): 1}]
+    for k in range(2, order + 1):
+        pq, pr, qr = (_product_part(a, b, k) for a, b in ((p, q), (p, r), (q, r)))
+        p.append(_sum_part(pq, pr))
+        q.append(_sum_part(pq, qr))
+        r.append(_sum_part(pr, qr))
+    p, q, r = (TSeries(s, order) for s in (p, q, r))
+    x, y, u = (TSeries.variable(name, order) for name in "xyu")
     if p * (1 - q - r) != x or q * (1 - p - r) != u or r * (1 - p - q) != y:
-        raise NoConvergenceError("p,q,r iteration did not close the system")
+        raise NoConvergenceError("p, q, r do not close the system")
     return p, q, r
 
 
@@ -417,7 +413,7 @@ def hg_trivariate(g: int, order: int) -> TSeries:
             num = num * _substitute_bracket_poly(p, q, r)
             out = num * (bracket ** 7).inverse()
     for key, val in out.d.items():
-        if val < 0 or (isinstance(val, Fraction) and val.denominator != 1):
+        if not isinstance(val, int) or val < 0:
             raise NonIntegerCoefficientError(f"coefficient at {key} is {val}")
     return out
 
@@ -436,9 +432,9 @@ def _substitute_bracket_poly(p: TSeries, q: TSeries, r: TSeries) -> TSeries:
     rpow = _powers(r, max(c for (_, _, c), _ in PLANAR_BRACKET_POLY))
     ppow = _powers(p, max(a for (a, _, _), _ in PLANAR_BRACKET_POLY))
     qr_cache: dict[tuple[int, int], TSeries] = {}
-    total = TSeries({}, order)
+    total = TSeries.constant(0, order)
     for a, group in sorted(by_a.items()):
-        inner = TSeries({}, order)
+        inner = TSeries.constant(0, order)
         for (b, c), coef in group.items():
             if (b, c) not in qr_cache:
                 qr_cache[b, c] = qpow[b] * rpow[c]

@@ -106,20 +106,21 @@ def test_cache_respects_env_override(tmp_path, monkeypatch):
 
 
 def test_cache_header_and_entries(census14):
-    cache.save_table(census14.table(1, max_darts=5), 1)
-    entries = list(cache.cache_entries())
-    assert len(entries) == 1
-    path, header = entries[0]
-    assert header == {"engine": "kz", "genus": "1", "max-darts": "5"}
-    assert cache.read_header(path) == header
+    path = cache.save_table(census14.table(1, max_darts=5), 1)
+    assert path.read_text().splitlines()[:2] == [
+        f"# hypermap-census cache v{cache.FORMAT_VERSION}",
+        "# engine=kz genus=1 max-darts=5"]
+    assert list(cache.cache_entries()) == [(path, "ok")]
 
 
 def test_cache_ignores_foreign_files(tmp_path):
     root = cache.cache_dir()
     root.mkdir(parents=True, exist_ok=True)
-    (root / "junk.counts").write_text("not a cache file\n")
-    assert cache.read_header(root / "junk.counts") is None
+    (root / "notes.txt").write_text("not a cache file\n")
     assert list(cache.cache_entries()) == []
+    (root / "junk.counts").write_text("not a cache file\n")
+    assert list(cache.cache_entries()) == [
+        (root / "junk.counts", f"not a v{cache.FORMAT_VERSION} cache file")]
 
 
 def _resealed(lines):
@@ -156,3 +157,26 @@ def test_damaged_cache_file_is_recomputed(damage, capsys):
     assert len(err.splitlines()) == 1 and str(path) in err
     assert cache.load_cached("kz", 1, 6) == RootedCensus(1, 6).table(1)   # rewritten
     assert capsys.readouterr().err == ""
+
+
+def test_cache_info_reports_files_it_will_not_serve(capsys):
+    assert main(["rooted", "--genus", "1", "--max-darts", "6"]) == 0
+    assert main(["rooted", "--genus", "0", "--max-darts", "3"]) == 0
+    assert main(["rooted", "--genus", "0", "--max-darts", "4"]) == 0
+    capsys.readouterr()
+    truncated = cache.table_path("kz", 1, 6)
+    truncated.write_text("\n".join(truncated.read_text().splitlines()[:-3]) + "\n")
+    old_format = cache.table_path("kz", 0, 3)
+    lines = old_format.read_text().splitlines()
+    old_format.write_text("\n".join(["# hypermap-census cache v1"] + lines[1:-1]) + "\n")
+    intact = cache.table_path("kz", 0, 4)
+    cache.table_path("kz", 0, 5).write_text(intact.read_text())
+    assert main(["cache-info"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "  kz-g0-d3.counts: not served, not a v2 cache file",
+        "  kz-g0-d4.counts: ok",
+        "  kz-g0-d5.counts: not served, its header names another table",
+        "  kz-g1-d6.counts: not served, row count or checksum does not match the trailer",
+    ]

@@ -5,6 +5,7 @@ import pytest
 
 from hypermap_census import (
     NonIntegerCoefficientError,
+    TSeries,
     USeries,
     ValuationError,
     hg_trivariate,
@@ -85,10 +86,27 @@ def test_useries_guards():
         USeries([1, 2], 3).shift_down(1)
     with pytest.raises(ValuationError):
         USeries([0, 1], 3).inverse()
+    with pytest.raises(ValuationError):
+        USeries([2, 1], 3).inverse()
+    tau = tau_of_z(20)
+    den = (1 - tau) ** 5 * (1 - 4 * tau) ** 7     # the genus-2 denominator
+    assert den * den.inverse() == USeries.constant(1, 20)
     with pytest.raises(ValueError):
         USeries([1], 3) * USeries([1], 4)
     with pytest.raises(ValueError):
         hg_univariate(7, 10)
+
+
+def test_tseries_guards():
+    with pytest.raises(ValuationError):
+        (2 + TSeries.variable("x", 3)).inverse()
+    with pytest.raises(ValuationError):
+        TSeries.variable("x", 3).inverse()
+    with pytest.raises(ValueError):
+        TSeries.variable("x", 3) * TSeries.variable("x", 4)
+    p, q, r = pqr_of_xyu(8)
+    bracket = ((1 - p - q - r) ** 2 - 4 * (p * q * r)) ** 7   # the genus-2 denominator
+    assert bracket * bracket.inverse() == TSeries.constant(1, 8)
 
 
 def test_pqr_linear_parts():
@@ -117,13 +135,17 @@ def test_trivariate_printed_values(g, key, expected):
 
 
 def test_trivariate_matches_rooted_counts(census14):
-    for g in range(0, 3):
-        tri = hg_trivariate(g, 8)
-        for v in range(1, 9):
-            for e in range(1, 9 - v):
-                for f in range(1, 9 - v - e):
+    # each genus to the total degree at which the census reaches 14 darts
+    compared = 0
+    for g, n in ((0, 16), (1, 14), (2, 12)):
+        tri = hg_trivariate(g, n)
+        for v in range(1, n + 1):
+            for e in range(1, n + 1 - v):
+                for f in range(1, n + 1 - v - e):
                     t = v + e + f - 2 + 2 * g
                     assert tri.coefficient(v, e, f) == census14.count(g, t, v, e, f)
+                    compared += 1
+    assert compared == 1144
 
 
 def test_trivariate_rejects_unavailable_genus():
