@@ -198,16 +198,30 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
 
     ``rooted`` must cover genus up to G and darts up to max_darts (quotients
     never exceed either bound).
+
+    Each branch point sits on its own quotient cell, so a distribution that
+    puts sw, sb and sf branch points on vertices, hyperedges and faces only
+    meets quotient terms of degree at least max(sw,1) + max(sb,1) + max(sf,1),
+    that is from d = that sum - 2 + 2g darts on.  A signature with Q branch
+    points therefore needs max(Q, 3) + 2g - 2 <= max_darts // L quotient
+    darts, and is skipped when it cannot have them.  Each quotient cell's
+    terms are listed once per call.
     """
     if G > rooted.max_genus or max_darts > rooted.max_darts:
         raise NotFilledError("rooted census does not cover the requested bounds")
     acc: dict[tuple[int, int, int, int], int] = {}
+    terms: dict[tuple[int, int], list] = {}
     for L in range(1, max_darts + 1):
+        top = max_darts // L
         for sig in admissible_signatures(G, L):
+            g = sig.quotient_genus
+            # a quotient carries at least one cell per branch point and has
+            # degree d + 2 - 2g >= 3
+            if max(len(sig.orbit_lengths), 3) + 2 * g - 2 > top:
+                continue
             weight0 = epi0(sig)
             if weight0 == 0:
                 continue
-            g = sig.quotient_genus
             qs: dict[int, int] = {}
             for l in sig.orbit_lengths:
                 qs[l] = qs.get(l, 0) + 1
@@ -219,8 +233,11 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                 Wb = sum(i * x[0] for i, x in dist.items())
                 Bb = sum(i * x[1] for i, x in dist.items())
                 Fb = sum(i * x[2] for i, x in dist.items())
-                for d in range(1, max_darts // L + 1):
-                    for (f, b, w), n_quot in rooted.poly(g, d).terms():
+                low = max(sw, 1) + max(sb, 1) + max(sf, 1) - 2 + 2 * g
+                for d in range(low, top + 1):
+                    if (g, d) not in terms:
+                        terms[g, d] = list(rooted.poly(g, d).terms())
+                    for (f, b, w), n_quot in terms[g, d]:
                         if w < sw or b < sb or f < sf:
                             continue
                         weight = (_multinomial(w, ws) * _multinomial(b, bs)

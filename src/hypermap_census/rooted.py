@@ -20,6 +20,18 @@ with P[0,1] = tuv and P[g,d] = 0 for g < 0 or d < 1.  The subtracted square
 terms in s2 make intermediate coefficients signed; the combined right-hand
 side must come out nonnegative and exactly divisible by d+1, and both facts
 are asserted on every step so a transcription slip cannot survive silently.
+
+Every P[g,d] is symmetric under permuting (f, b, w): the base term tuv and
+the factors s1 and s2 are symmetric, and sums and products of symmetric
+polynomials are symmetric.  So the fill computes the right-hand side only at
+canonical keys f >= b >= w; with w = deg - f - b the test b >= w reads
+f + 2b >= deg, and all four terms apply it to each key they would add to.
+The convolution visits each unordered factor pair {(i, j), (g-i, d-2-j)}
+once: the two orders multiply the same polynomials, so their weights merge
+into (4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to
+its mirror keeps (4+6j) * j'.  Each canonical value is then copied to every
+permutation of its triple before the step's checks, so the nonnegativity,
+exact-division and support checks still see every stored coefficient.
 """
 
 from __future__ import annotations
@@ -51,7 +63,10 @@ class HomoPoly:
         return self._terms.get((f, b), 0)
 
     def terms(self):
-        """Yield ((f, b, w), coefficient) with f+b+w = degree, all >= 1."""
+        """Yield ((f, b, w), coefficient) with f+b+w = degree, all >= 1.
+
+        The order of the terms is unspecified.
+        """
         for (f, b), c in self._terms.items():
             yield (f, b, self.degree - f - b), c
 
@@ -66,6 +81,16 @@ class HomoPoly:
 
 
 _ZERO = {}
+
+
+def _permutations(canonical: dict, deg: int) -> dict:
+    """Copy each canonical (f, b) value to every permutation of (f, b, w)."""
+    out = {}
+    for (f, b), a in canonical.items():
+        w = deg - f - b
+        for k in ((f, b), (f, w), (b, f), (b, w), (w, f), (w, b)):
+            out[k] = a
+    return out
 
 
 class RootedCensus:
@@ -96,6 +121,9 @@ class RootedCensus:
                 if d == 1 and g == 0:
                     polys[0, 1] = {(1, 1): 1}
                     continue
+                deg = d + 2 - 2 * g
+                # right-hand side at canonical keys only: f >= b >= w, where
+                # b >= w = deg - f - b is the same test as f + 2b >= deg
                 rhs: dict[tuple[int, int], int] = {}
                 prev = polys.get((g, d - 1))
                 if prev:
@@ -103,38 +131,49 @@ class RootedCensus:
                     for (f, b), a in prev.items():
                         ca = c * a
                         for k in ((f + 1, b), (f, b + 1), (f, b)):
-                            rhs[k] = rhs.get(k, 0) + ca
+                            if k[0] >= k[1] and k[0] + 2 * k[1] >= deg:
+                                rhs[k] = rhs.get(k, 0) + ca
                 prev2 = polys.get((g, d - 2))
                 if prev2:
                     c = d - 2
                     for (f, b), a in prev2.items():
                         ca = c * a
-                        rhs[f + 1, b + 1] = rhs.get((f + 1, b + 1), 0) + 2 * ca
-                        rhs[f + 1, b] = rhs.get((f + 1, b), 0) + 2 * ca
-                        rhs[f, b + 1] = rhs.get((f, b + 1), 0) + 2 * ca
-                        rhs[f + 2, b] = rhs.get((f + 2, b), 0) - ca
-                        rhs[f, b + 2] = rhs.get((f, b + 2), 0) - ca
-                        rhs[f, b] = rhs.get((f, b), 0) - ca
+                        for k, m in (((f + 1, b + 1), 2), ((f + 1, b), 2),
+                                     ((f, b + 1), 2), ((f + 2, b), -1),
+                                     ((f, b + 2), -1), ((f, b), -1)):
+                            if k[0] >= k[1] and k[0] + 2 * k[1] >= deg:
+                                rhs[k] = rhs.get(k, 0) + m * ca
                 lower = polys.get((g - 1, d - 2))
                 if lower:
                     c = (d - 1) * (d - 1) * (d - 2)
                     for k, a in lower.items():
-                        rhs[k] = rhs.get(k, 0) + c * a
+                        if k[0] >= k[1] and k[0] + 2 * k[1] >= deg:
+                            rhs[k] = rhs.get(k, 0) + c * a
+                # each unordered pair {(i, j), (g-i, d-2-j)} once
                 for i in range(0, g + 1):
                     for j in range(1, d - 2):
+                        i2, j2 = g - i, d - 2 - j
+                        if (i, j) > (i2, j2):
+                            continue
                         p1 = polys.get((i, j), _ZERO)
                         if not p1:
                             continue
-                        p2 = polys.get((g - i, d - 2 - j), _ZERO)
+                        p2 = polys.get((i2, j2), _ZERO)
                         if not p2:
                             continue
-                        c = (4 + 6 * j) * (d - 2 - j)
+                        if (i, j) == (i2, j2):
+                            c = (4 + 6 * j) * j2
+                        else:
+                            c = 4 * (d - 2) + 12 * j * j2
                         for (f1, b1), a1 in p1.items():
                             ca1 = c * a1
                             for (f2, b2), a2 in p2.items():
-                                k = (f1 + f2, b1 + b2)
-                                rhs[k] = rhs.get(k, 0) + ca1 * a2
-                self._store(g, d, rhs)
+                                f = f1 + f2
+                                b = b1 + b2
+                                if f >= b and f + b + b >= deg:
+                                    k = (f, b)
+                                    rhs[k] = rhs.get(k, 0) + ca1 * a2
+                self._store(g, d, _permutations(rhs, deg))
 
     def _store(self, g: int, d: int, rhs: dict) -> None:
         deg = d + 2 - 2 * g

@@ -135,7 +135,7 @@ def test_criterion_7_property_suite(census14, sensed_tables, seq):
     sensed_table(3, 8, rebuilt)
 
     # the recurrence identity holds for the stored polynomials
-    _recheck_recurrence(census14, max_genus=2, max_darts=8)
+    _recheck_recurrence(census14, max_genus=MAX_GENUS, max_darts=MAX_DARTS)
 
     # series coefficients are nonnegative integers
     for g in range(0, MAX_GENUS + 1):
