@@ -114,14 +114,19 @@ def _check_bounds(parser, genus: int, max_darts: int, deep: bool | None) -> None
                      + (" (use --deep to raise the caps)" if deep is False else ""))
 
 
-def _rooted_table(genus: int, max_darts: int, use_cache: bool):
+def _cached_table(engine: str, genus: int, max_darts: int, use_cache: bool, compute):
+    """The cached ``engine`` table of one genus, else ``compute()``, saved to
+    the cache; a save that fails costs one warning line on stderr."""
     if use_cache:
-        cached = cache.load_cached("kz", genus, max_darts)
+        cached = cache.load_cached(engine, genus, max_darts)
         if cached is not None:
             return cached
-    table = RootedCensus(genus, max_darts).table(genus)
+    table = compute()
     if use_cache:
-        cache.save_table(table, genus)
+        try:
+            cache.save_table(table, genus)
+        except OSError as exc:
+            print(f"warning: table not cached: {exc}", file=sys.stderr)
     return table
 
 
@@ -132,7 +137,8 @@ def _cmd_rooted(args, parser) -> int:
             parser.error(f"the seq engine is capped at {SEQ_DART_CAP} darts")
         table = _seq_table(args.genus, args.max_darts)
     else:
-        table = _rooted_table(args.genus, args.max_darts, not args.no_cache)
+        table = _cached_table("kz", args.genus, args.max_darts, not args.no_cache,
+                              lambda: RootedCensus(args.genus, args.max_darts).table(args.genus))
     _emit(table, args)
     return 0
 
@@ -158,16 +164,10 @@ def _seq_table(genus: int, max_darts: int):
 
 def _cmd_unrooted(args, parser) -> int:
     _check_bounds(parser, args.genus, args.max_darts, args.deep)
-    use_cache = not args.no_cache
-    if use_cache:
-        cached = cache.load_cached("sensed", args.genus, args.max_darts)
-        if cached is not None:
-            _emit(cached, args, header="H")
-            return 0
-    rooted = RootedCensus(args.genus, args.max_darts)
-    table = sensed_table(args.genus, args.max_darts, rooted)
-    if use_cache:
-        cache.save_table(table, args.genus)
+    table = _cached_table(
+        "sensed", args.genus, args.max_darts, not args.no_cache,
+        lambda: sensed_table(args.genus, args.max_darts,
+                             RootedCensus(args.genus, args.max_darts)))
     _emit(table, args, header="H")
     return 0
 
@@ -322,6 +322,9 @@ def _cmd_verify(args, parser) -> int:
             rows, sums = parse_table(path.read_text(), source=str(path))
         except FixtureFormatError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
+            return 2
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"parse error: {path}: cannot read: {exc}", file=sys.stderr)
             return 2
         max_darts = max([r.darts for r in rows] + [s.darts for s in sums], default=0)
         if max_darts == 0:

@@ -11,8 +11,9 @@ ascending vertex count, each block followed by a blank line, a
 
 line and another blank line.  Fixture files use exactly this shape (they can
 be produced by copy-paste), so rendered output and fixtures are comparable
-after whitespace normalization.  A leading column-header line is tolerated
-and skipped by the parser.
+after whitespace normalization.  A column-header line before the first row
+or sum line is tolerated and skipped by the parser; a non-numeric line after
+it is a :class:`FixtureFormatError`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import CountTable, faces_from_key
 
 
 class FixtureFormatError(ValueError):
-    """A fixture line that is neither a row, a sum row, nor a header."""
+    """A fixture line that is neither a row, a sum row, nor a header before them."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,9 @@ def parse_table(text: str, source: str = "<string>"):
             continue
         numeric = [tok.lstrip("-").isdigit() for tok in tokens]
         if not any(numeric):
+            if rows or sums:
+                raise FixtureFormatError(
+                    f"{source}:{lineno}: non-numeric line after the first row {line!r}")
             continue  # column header
         if not all(numeric):
             raise FixtureFormatError(f"{source}:{lineno}: unparseable row {line!r}")

@@ -25,13 +25,23 @@ Every P[g,d] is symmetric under permuting (f, b, w): the base term tuv and
 the factors s1 and s2 are symmetric, and sums and products of symmetric
 polynomials are symmetric.  So the fill computes the right-hand side only at
 canonical keys f >= b >= w; with w = deg - f - b the test b >= w reads
-f + 2b >= deg, and all four terms apply it to each key they would add to.
-The convolution visits each unordered factor pair {(i, j), (g-i, d-2-j)}
-once: the two orders multiply the same polynomials, so their weights merge
-into (4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to
-its mirror keeps (4+6j) * j'.  Each canonical value is then copied to every
-permutation of its triple before the step's checks, so the nonnegativity,
-exact-division and support checks still see every stored coefficient.
+f + 2b >= deg.
+
+Each of the four terms is a coefficient times a product of two polynomials
+(s1, s2 and 1 are polynomials in the same (f, b)-keyed format), so the fill
+lists (coefficient, p1, p2) terms and one kernel, :func:`_add_product`,
+multiplies them and holds the only canonical-key test.  The convolution lists
+each unordered factor pair {(i, j), (g-i, d-2-j)} once: the two orders
+multiply the same polynomials, so their weights merge into
+(4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to its
+mirror keeps (4+6j) * j'.
+
+:meth:`RootedCensus._store` checks each canonical value (nonnegative, exactly
+divisible by d+1, and inside the support) and only then copies the quotient
+to every permutation of its triple.  A copy has the same value, so it passes
+the first two checks when the canonical value does.  It also passes the
+third: at f >= b >= w the vertex exponent w is the smallest, so w >= 1 puts
+all three exponents, in any order, at >= 1.
 """
 
 from __future__ import annotations
@@ -82,15 +92,23 @@ class HomoPoly:
 
 _ZERO = {}
 
+# the recurrence factors s1, s2 and 1 in the fill's (f, b)-keyed format
+S1 = {(1, 0): 1, (0, 1): 1, (0, 0): 1}
+S2 = {(1, 1): 2, (1, 0): 2, (0, 1): 2, (2, 0): -1, (0, 2): -1, (0, 0): -1}
+ONE = {(0, 0): 1}
 
-def _permutations(canonical: dict, deg: int) -> dict:
-    """Copy each canonical (f, b) value to every permutation of (f, b, w)."""
-    out = {}
-    for (f, b), a in canonical.items():
-        w = deg - f - b
-        for k in ((f, b), (f, w), (b, f), (b, w), (w, f), (w, b)):
-            out[k] = a
-    return out
+
+def _add_product(rhs: dict, c: int, p1: dict, p2: dict, deg: int) -> None:
+    """Add c * p1 * p2 to ``rhs`` at the canonical keys f >= b >= w of degree
+    ``deg`` only; b >= w = deg - f - b is the same test as f + 2b >= deg."""
+    for (f1, b1), a1 in p1.items():
+        ca1 = c * a1
+        for (f2, b2), a2 in p2.items():
+            f = f1 + f2
+            b = b1 + b2
+            if f >= b and f + b + b >= deg:
+                k = (f, b)
+                rhs[k] = rhs.get(k, 0) + ca1 * a2
 
 
 class RootedCensus:
@@ -109,73 +127,40 @@ class RootedCensus:
             raise ValueError("need max_genus >= 0 and max_darts >= 1")
         self.max_genus = max_genus
         self.max_darts = max_darts
-        self._polys: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        self._polys: dict[tuple[int, int], dict[tuple[int, int], int]] = {
+            (0, 1): {(1, 1): 1}}
         self._fill()
 
     # -- fill ---------------------------------------------------------------
 
     def _fill(self) -> None:
         polys = self._polys
-        for d in range(1, self.max_darts + 1):
+        for d in range(2, self.max_darts + 1):
             for g in range(0, self.max_genus + 1):
-                if d == 1 and g == 0:
-                    polys[0, 1] = {(1, 1): 1}
-                    continue
-                deg = d + 2 - 2 * g
-                # right-hand side at canonical keys only: f >= b >= w, where
-                # b >= w = deg - f - b is the same test as f + 2b >= deg
-                rhs: dict[tuple[int, int], int] = {}
-                prev = polys.get((g, d - 1))
-                if prev:
-                    c = 2 * d - 1
-                    for (f, b), a in prev.items():
-                        ca = c * a
-                        for k in ((f + 1, b), (f, b + 1), (f, b)):
-                            if k[0] >= k[1] and k[0] + 2 * k[1] >= deg:
-                                rhs[k] = rhs.get(k, 0) + ca
-                prev2 = polys.get((g, d - 2))
-                if prev2:
-                    c = d - 2
-                    for (f, b), a in prev2.items():
-                        ca = c * a
-                        for k, m in (((f + 1, b + 1), 2), ((f + 1, b), 2),
-                                     ((f, b + 1), 2), ((f + 2, b), -1),
-                                     ((f, b + 2), -1), ((f, b), -1)):
-                            if k[0] >= k[1] and k[0] + 2 * k[1] >= deg:
-                                rhs[k] = rhs.get(k, 0) + m * ca
-                lower = polys.get((g - 1, d - 2))
-                if lower:
-                    c = (d - 1) * (d - 1) * (d - 2)
-                    for k, a in lower.items():
-                        if k[0] >= k[1] and k[0] + 2 * k[1] >= deg:
-                            rhs[k] = rhs.get(k, 0) + c * a
+                terms = [(2 * d - 1, S1, polys.get((g, d - 1))),
+                         (d - 2, S2, polys.get((g, d - 2))),
+                         ((d - 1) * (d - 1) * (d - 2), ONE, polys.get((g - 1, d - 2)))]
                 # each unordered pair {(i, j), (g-i, d-2-j)} once
                 for i in range(0, g + 1):
                     for j in range(1, d - 2):
                         i2, j2 = g - i, d - 2 - j
-                        if (i, j) > (i2, j2):
-                            continue
-                        p1 = polys.get((i, j), _ZERO)
-                        if not p1:
-                            continue
-                        p2 = polys.get((i2, j2), _ZERO)
-                        if not p2:
-                            continue
-                        if (i, j) == (i2, j2):
+                        if (i, j) < (i2, j2):
+                            c = 4 * (d - 2) + 12 * j * j2
+                        elif (i, j) == (i2, j2):
                             c = (4 + 6 * j) * j2
                         else:
-                            c = 4 * (d - 2) + 12 * j * j2
-                        for (f1, b1), a1 in p1.items():
-                            ca1 = c * a1
-                            for (f2, b2), a2 in p2.items():
-                                f = f1 + f2
-                                b = b1 + b2
-                                if f >= b and f + b + b >= deg:
-                                    k = (f, b)
-                                    rhs[k] = rhs.get(k, 0) + ca1 * a2
-                self._store(g, d, _permutations(rhs, deg))
+                            continue
+                        terms.append((c, polys.get((i, j)), polys.get((i2, j2))))
+                deg = d + 2 - 2 * g
+                rhs: dict[tuple[int, int], int] = {}
+                for c, p1, p2 in terms:
+                    if p1 and p2:
+                        _add_product(rhs, c, p1, p2, deg)
+                self._store(g, d, rhs)
 
     def _store(self, g: int, d: int, rhs: dict) -> None:
+        """Check each canonical value of (d+1) * P[g,d] in ``rhs``, then store
+        its quotient at every permutation of its triple."""
         deg = d + 2 - 2 * g
         div = d + 1
         out = {}
@@ -192,11 +177,12 @@ class RootedCensus:
                     f"coefficient {a} at g={g} d={d} (f={f}, b={b}) not divisible by {div}"
                 )
             w = deg - f - b
-            if f < 1 or b < 1 or w < 1:
+            if w < 1:   # w is the smallest exponent at a canonical key
                 raise NegativeCoefficientError(
                     f"nonzero coefficient outside support at g={g} d={d} (f={f}, b={b}, w={w})"
                 )
-            out[f, b] = q
+            for k in ((f, b), (f, w), (b, f), (b, w), (w, f), (w, b)):
+                out[k] = q
         if out:
             self._polys[g, d] = out
 

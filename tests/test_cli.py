@@ -169,6 +169,27 @@ def test_verify_empty_directory_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("damage", ["directory", "not-utf-8"])
+def test_verify_unreadable_fixture_is_one_line_parse_error(damage, tmp_path, capsys):
+    path = tmp_path / "rooted-g0.txt"
+    if damage == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"   d   v   e   f   h\n   1   1   1   1   \xff\n")
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: ") and len(err.splitlines()) == 1
+
+
+def test_verify_rejects_non_numeric_line_after_first_row(tmp_path, capsys, fixtures_dir):
+    lines = (fixtures_dir / "rooted-g0.txt").read_text().splitlines(keepends=True)
+    (tmp_path / "rooted-g0.txt").write_text("".join(lines[:4] + ["what is this\n"] + lines[4:]))
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "rooted-g0.txt:5" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_crosscheck_small_bounds(capsys):
     assert main(["crosscheck", "--max-genus", "1", "--max-darts", "6"]) == 0
     out = capsys.readouterr().out
@@ -196,3 +217,31 @@ def test_cache_info(capsys):
     assert main(["cache-info"]) == 0
     out = capsys.readouterr().out
     assert "kz-g0-d3.counts" in out and "cache directory" in out
+
+
+@pytest.mark.parametrize("command", ["rooted", "unrooted"])
+def test_cache_dir_that_is_a_file_is_one_warning(command, tmp_path, monkeypatch, capsys):
+    argv = [command, "--genus", "1", "--max-darts", "4"]
+    assert main(argv + ["--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    (tmp_path / "a-file").write_text("")
+    monkeypatch.setenv("HYPERMAP_CACHE_DIR", str(tmp_path / "a-file"))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    assert err.startswith("warning: table not cached: ") and len(err.splitlines()) == 1
+
+
+def test_directory_at_cache_file_path_is_warned_about(capsys):
+    from hypermap_census import cache
+    argv = ["rooted", "--genus", "1", "--max-darts", "4"]
+    assert main(argv + ["--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    cache.table_path("kz", 1, 4).mkdir(parents=True)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == expected
+    refused, not_saved = err.splitlines()   # the load refuses it, the save fails
+    assert refused.startswith("warning: ignoring cache file ")
+    assert not_saved.startswith("warning: table not cached: ")
+    assert list(cache.cache_dir().glob("*.tmp")) == []

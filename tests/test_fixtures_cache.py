@@ -40,6 +40,15 @@ def test_parse_table_reports_source_and_line():
         parse_table("1 2 x 3 4\n")   # corrupted rows must not pass as headers
 
 
+def test_parse_table_rejects_non_numeric_line_after_first_row():
+    assert parse_table("header one\nheader two\n" + SAMPLE)[0] == parse_table(SAMPLE)[0]
+    text = SAMPLE.replace("   3   1   2   2   3\n", "   3   1   2   2   3\nwhat is this\n")
+    with pytest.raises(FixtureFormatError, match=r"bad\.txt:4: non-numeric"):
+        parse_table(text, source="bad.txt")
+    with pytest.raises(FixtureFormatError, match=r"bad\.txt:6: non-numeric"):
+        parse_table(SAMPLE + "d v e f h\n", source="bad.txt")   # after a sum line
+
+
 def test_render_parse_round_trip(census14):
     table = census14.table(1, max_darts=7)
     rows, sums = parse_table(render_table(table, 1))

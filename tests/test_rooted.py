@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from hypermap_census import NotFilledError, RootedCensus
+from hypermap_census import (InexactDivisionError, NegativeCoefficientError,
+                              NotFilledError, RootedCensus)
 from bruteforce import hypermap_census_by_pairs
 
 
@@ -78,6 +79,20 @@ def test_fill_rejects_bad_bounds():
         RootedCensus(-1, 5)
     with pytest.raises(ValueError):
         RootedCensus(0, 0)
+
+
+def test_store_checks_canonical_values_then_copies_them():
+    census = RootedCensus(0, 1)   # the base cell only
+    # g = 0, d = 4: degree 6, divisor 5; keys are (f, b), w = 6 - f - b
+    with pytest.raises(InexactDivisionError):
+        census._store(0, 4, {(3, 2): 11})
+    with pytest.raises(NegativeCoefficientError, match="negative"):
+        census._store(0, 4, {(3, 2): -10})
+    with pytest.raises(NegativeCoefficientError, match="outside support"):
+        census._store(0, 4, {(3, 3): 10})   # w = 0
+    assert (0, 4) not in census._polys
+    census._store(0, 4, {(3, 2): 10, (2, 2): 0})
+    assert census._polys[0, 4] == {(f, b): 2 for f, b, _ in itertools.permutations((3, 2, 1))}
 
 
 def test_table_export_matches_counts(census14):
