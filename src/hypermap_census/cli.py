@@ -326,10 +326,10 @@ def _cmd_verify(args, parser) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"parse error: {path}: cannot read: {exc}", file=sys.stderr)
             return 2
-        max_darts = max([r.darts for r in rows] + [s.darts for s in sums], default=0)
-        if max_darts == 0:
+        if not rows and not sums:
             print(f"{path.name}: empty fixture")
             continue
+        max_darts = max([r.darts for r in rows] + [s.darts for s in sums])
         _check_bounds(parser, genus, max_darts, None)
         rooted = RootedCensus(genus, max_darts)
         table = rooted.table(genus) if kind == "rooted" else \

@@ -13,7 +13,8 @@ line and another blank line.  Fixture files use exactly this shape (they can
 be produced by copy-paste), so rendered output and fixtures are comparable
 after whitespace normalization.  A column-header line before the first row
 or sum line is tolerated and skipped by the parser; a non-numeric line after
-it is a :class:`FixtureFormatError`.
+it is a :class:`FixtureFormatError`, as is a row or sum line with fewer than
+one dart or a negative field.
 """
 
 from __future__ import annotations
@@ -45,35 +46,52 @@ class FixtureSum:
     total: int
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def parse_table(text: str, source: str = "<string>"):
-    """Parse fixture text into (rows, sums); errors name the source and line."""
+    """Parse fixture text into (rows, sums); errors name the source and line.
+
+    A row or sum line with fewer than one dart or a negative field is a
+    :class:`FixtureFormatError`; a field is an optional minus sign and ASCII
+    digits."""
     rows: list[FixtureRow] = []
     sums: list[FixtureSum] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"{source}:{lineno}"
         tokens = line.split()
         if not tokens:
             continue
         if "sum" in tokens:
-            if len(tokens) != 3 or tokens[1] != "sum":
-                raise FixtureFormatError(f"{source}:{lineno}: malformed sum row {line!r}")
-            try:
-                sums.append(FixtureSum(int(tokens[0]), int(tokens[2])))
-            except ValueError:
-                raise FixtureFormatError(f"{source}:{lineno}: malformed sum row {line!r}")
+            if len(tokens) != 3 or tokens[1] != "sum" or not all(
+                    _INT.fullmatch(tok) for tok in (tokens[0], tokens[2])):
+                raise FixtureFormatError(f"{where}: malformed sum row {line!r}")
+            fields = (int(tokens[0]), int(tokens[2]))
+            _check_fields(fields, where, line)
+            sums.append(FixtureSum(*fields))
             continue
-        numeric = [tok.lstrip("-").isdigit() for tok in tokens]
+        numeric = [bool(_INT.fullmatch(tok)) for tok in tokens]
         if not any(numeric):
             if rows or sums:
                 raise FixtureFormatError(
-                    f"{source}:{lineno}: non-numeric line after the first row {line!r}")
+                    f"{where}: non-numeric line after the first row {line!r}")
             continue  # column header
         if not all(numeric):
-            raise FixtureFormatError(f"{source}:{lineno}: unparseable row {line!r}")
+            raise FixtureFormatError(f"{where}: unparseable row {line!r}")
         if len(tokens) != 5:
-            raise FixtureFormatError(f"{source}:{lineno}: expected 5 columns, got {line!r}")
-        d, v, e, f, h = (int(tok) for tok in tokens)
-        rows.append(FixtureRow(d, v, e, f, h))
+            raise FixtureFormatError(f"{where}: expected 5 columns, got {line!r}")
+        fields = tuple(int(tok) for tok in tokens)
+        _check_fields(fields, where, line)
+        rows.append(FixtureRow(*fields))
     return rows, sums
+
+
+def _check_fields(fields: tuple[int, ...], where: str, line: str) -> None:
+    """Reject a row or sum whose dart count (the first field) is below 1 or
+    which has a negative field."""
+    if fields[0] < 1 or min(fields) < 0:
+        raise FixtureFormatError(
+            f"{where}: need darts >= 1 and no negative field, got {line!r}")
 
 
 def table_rows(table: CountTable, genus: int):

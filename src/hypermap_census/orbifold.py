@@ -31,6 +31,17 @@ a hypermap root is a dart, not a dart-or-reversal - gives the sensed census.
 The period-1 signature contributes exactly the rooted count, so the sensed
 count always lies between rooted/E and rooted.
 
+The sensed census is symmetric under permuting (W, B, F): the three
+permutations of a hypermap's dart set that define its vertices, hyperedges
+and faces play interchangeable roles, and relabelling them maps sensed
+hypermaps to sensed hypermaps of the same genus and dart count.  So
+:func:`sensed_table` accumulates only the contributions that land on
+canonical keys W >= B >= F.  It does not filter them: for each F it loops
+over exactly the B (and so W) that keep the key canonical, and a bound on B
+never lets W drop below zero.  Each canonical total is checked for exact
+division by E before its quotient is copied to the other permutations of
+(W, B, F); a copy has the same value, so it passes the same check.
+
 Quotients of hypermaps never contain half-darts (in bipartite-map language a
 dangling semi-edge would join two like-coloured vertices), so unlike the
 ordinary-map analogue there is no semi-edge correction term anywhere.
@@ -38,8 +49,10 @@ ordinary-map analogue there is no semi-edge correction term anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from math import comb, gcd
+from itertools import permutations
+from math import factorial, gcd
 
 from .core import CountTable, InexactDivisionError, NotFilledError
 from .rooted import RootedCensus
@@ -164,31 +177,44 @@ def _zero_sum_tuples(l: int, orders: tuple[int, ...]) -> int:
     return vec[0]
 
 
-def _multinomial(n: int, parts) -> int:
-    """n choose (parts..., rest): ways to mark cells carrying each branch class."""
-    r = 1
-    left = n
-    for p in parts:
-        r *= comb(left, p)
-        left -= p
-    return r
+def _multinomials(parts: tuple[int, ...], top: int) -> list[int]:
+    """[n choose (parts..., rest) for n = 0..top]: the ways to mark, among n
+    quotient cells of one kind, the cells carrying each branch class.  From
+    n = s = sum(parts) on, each entry is the last times n / (n - s)."""
+    s = sum(parts)
+    out = [0] * min(s, top + 1)
+    if s <= top:
+        m = factorial(s)
+        for p in parts:
+            m //= factorial(p)
+        out.append(m)
+        for n in range(s + 1, top + 1):
+            m = m * n // (n - s)
+            out.append(m)
+    return out
 
 
 def _branch_distributions(qs: dict[int, int]):
-    """Split the q_i branch points of each orbit length i among vertex/
-    hyperedge/face cells; yields {i: (w_i, b_i, f_i)}."""
+    """Split the q_i branch points of each orbit length i among vertex,
+    hyperedge and face cells.  Yields one triple per split: the branch points
+    per cell kind, as three tuples over the orbit lengths (w_i), (b_i),
+    (f_i); their sums (sw, sb, sf); and the lifted cells they make,
+    (Wb, Bb, Fb) = (sum(i * w_i), sum(i * b_i), sum(i * f_i))."""
     lengths = sorted(qs)
 
     def rec(idx):
         if idx == len(lengths):
-            yield {}
+            yield ((), (), ()), (0, 0, 0), (0, 0, 0)
             return
         i = lengths[idx]
         q = qs[i]
-        for rest in rec(idx + 1):
+        for (ws, bs, fs), (sw, sb, sf), (Wb, Bb, Fb) in rec(idx + 1):
             for wi in range(q + 1):
                 for bi in range(q - wi + 1):
-                    yield {i: (wi, bi, q - wi - bi), **rest}
+                    fi = q - wi - bi
+                    yield ((ws + (wi,), bs + (bi,), fs + (fi,)),
+                           (sw + wi, sb + bi, sf + fi),
+                           (Wb + i * wi, Bb + i * bi, Fb + i * fi))
 
     return rec(0)
 
@@ -204,13 +230,30 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     meets quotient terms of degree at least max(sw,1) + max(sb,1) + max(sf,1),
     that is from d = that sum - 2 + 2g darts on.  A signature with Q branch
     points therefore needs max(Q, 3) + 2g - 2 <= max_darts // L quotient
-    darts, and is skipped when it cannot have them.  Each quotient cell's
-    terms are listed once per call.
+    darts, and is skipped when it cannot have them.
+
+    The sum visits only canonical output keys W >= B >= F.  In the shifted
+    exponents W' = w - sw, B' = b - sb, F' = f - sf, which add up to
+    rest = d + 2 - 2g - sw - sb - sf, the key is W = L*W' + Wb and so on, so
+    for each F' it loops over
+
+        F' + ceil((Fb - Bb) / L)  <=  B'  <=  (rest - F' - ceil((Bb - Wb) / L)) // 2
+
+    (B >= F, then W >= B with W' = rest - F' - B'), with B' also at least 0
+    and at most rest - F' (so W' >= 0).  Both bounds move towards each other
+    as F' grows, so the first empty range ends the F' loop.  Each quotient
+    coefficient is looked up by (f, b).  The multinomials for n up to
+    max_darts + 2 are listed once per call for each tuple of branch counts,
+    and the face one is taken once per F'.  Each canonical total is checked
+    for exact division by E; its quotient is then added at every distinct
+    permutation of (W, B, F) through :meth:`CountTable.add`, which keeps its
+    own checks.
     """
     if G > rooted.max_genus or max_darts > rooted.max_darts:
         raise NotFilledError("rooted census does not cover the requested bounds")
-    acc: dict[tuple[int, int, int, int], int] = {}
-    terms: dict[tuple[int, int], list] = {}
+    acc: dict[tuple[int, int, int], int] = {}
+    polys: dict[tuple[int, int], Mapping] = {}
+    mults: dict[tuple[int, ...], list[int]] = {}
     for L in range(1, max_darts + 1):
         top = max_darts // L
         for sig in admissible_signatures(G, L):
@@ -225,34 +268,44 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
             qs: dict[int, int] = {}
             for l in sig.orbit_lengths:
                 qs[l] = qs.get(l, 0) + 1
-            for dist in _branch_distributions(qs):
-                ws = [x[0] for x in dist.values()]
-                bs = [x[1] for x in dist.values()]
-                fs = [x[2] for x in dist.values()]
-                sw, sb, sf = sum(ws), sum(bs), sum(fs)
-                Wb = sum(i * x[0] for i, x in dist.items())
-                Bb = sum(i * x[1] for i, x in dist.items())
-                Fb = sum(i * x[2] for i, x in dist.items())
+            for parts, (sw, sb, sf), (Wb, Bb, Fb) in _branch_distributions(qs):
                 low = max(sw, 1) + max(sb, 1) + max(sf, 1) - 2 + 2 * g
+                if low > top:
+                    continue
+                for k in parts:
+                    if k not in mults:
+                        mults[k] = _multinomials(k, max_darts + 2)
+                mw, mb, mf = (mults[k] for k in parts)
+                c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
+                c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
                 for d in range(low, top + 1):
-                    if (g, d) not in terms:
-                        terms[g, d] = list(rooted.poly(g, d).terms())
-                    for (f, b, w), n_quot in terms[g, d]:
-                        if w < sw or b < sb or f < sf:
-                            continue
-                        weight = (_multinomial(w, ws) * _multinomial(b, bs)
-                                  * _multinomial(f, fs))
-                        key = (L * d,
-                               L * (w - sw) + Wb,
-                               L * (b - sb) + Bb,
-                               L * (f - sf) + Fb)
-                        acc[key] = acc.get(key, 0) + weight0 * weight * n_quot
+                    if (g, d) not in polys:
+                        polys[g, d] = rooted.poly(g, d).fb_coefficients()
+                    coeff = polys[g, d].get
+                    E = L * d
+                    rest = d + 2 - 2 * g - sw - sb - sf
+                    for F1 in range(rest + 1):
+                        lo = max(F1 + c_bf, 0)
+                        hi = min(rest - F1, (rest - F1 - c_wb) // 2)
+                        if lo > hi:
+                            break
+                        f = F1 + sf
+                        wf = weight0 * mf[f]
+                        for B1 in range(lo, hi + 1):
+                            b = B1 + sb
+                            n_quot = coeff((f, b))
+                            if n_quot:
+                                W1 = rest - F1 - B1
+                                key = (E, L * W1 + Wb, L * B1 + Bb)
+                                acc[key] = (acc.get(key, 0)
+                                            + wf * mw[W1 + sw] * mb[b] * n_quot)
     out = CountTable(engine="sensed", max_genus=G, max_darts=max_darts)
-    for (E, W, B, F), val in acc.items():
+    for (E, W, B), val in acc.items():
         q, r = divmod(val, E)
         if r:
             raise InexactDivisionError(
-                f"accumulated total {val} at genus {G}, key {(E, W, B, F)} "
+                f"accumulated total {val} at genus {G}, key {(E, W, B)} "
                 f"not divisible by {E}")
-        out.add(G, E, W, B, q)
+        for v, e, _ in set(permutations((W, B, E + 2 - 2 * G - W - B))):
+            out.add(G, E, v, e, q)
     return out.freeze()

@@ -46,6 +46,9 @@ all three exponents, in any order, at >= 1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from .core import (
     CountTable,
     InexactDivisionError,
@@ -79,6 +82,10 @@ class HomoPoly:
         """
         for (f, b), c in self._terms.items():
             yield (f, b, self.degree - f - b), c
+
+    def fb_coefficients(self) -> Mapping[tuple[int, int], int]:
+        """Read-only view {(f, b): coefficient}, with w = degree - f - b."""
+        return MappingProxyType(self._terms)
 
     def total(self) -> int:
         return sum(self._terms.values())

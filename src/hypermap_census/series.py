@@ -397,21 +397,37 @@ def hg_trivariate(g: int, order: int) -> TSeries:
     """Series counting rooted genus-g hypermaps by vertices (x), hyperedges (y)
     and faces (u), to total degree ``order``; defined in closed form for g <= 2.
 
+    Every closed form is p*q*r times a cofactor X:
+
+        g = 0:  X = 1 - p - q - r
+        g = 1:  X = (1-p)(1-q)(1-r) / bracket**2
+        g = 2:  X = (1-p)(1-q)(1-r) * (genus-2 numerator) / bracket**7
+
+    Since p, q and r have no constant term, p*q*r starts at degree 3, so
+    degree k of the product takes X only to degree k - 3: X is built from p,
+    q and r cut to order N - 3 (order 0 when N < 3) and the result is formed
+    one degree at a time.
+
     The genus-0 series carries no constant term: the count starts at the
     one-dart hypermap, the empty hypermap is not included."""
     if not 0 <= g <= MAX_TRIVARIATE_GENUS:
         raise ValueError(f"no closed trivariate form for genus {g}")
     p, q, r = pqr_of_xyu(order)
+    pqr = p * q * r
+    cut = max(order - 3, 0)
+    p, q, r = (TSeries(s.parts[:cut + 1], cut) for s in (p, q, r))
     if g == 0:
-        out = p * q * r * (1 - p - q - r)
+        cofactor = 1 - p - q - r
     else:
         bracket = (1 - p - q - r) ** 2 - 4 * (p * q * r)
-        num = p * q * r * (1 - p) * (1 - q) * (1 - r)
+        cofactor = (1 - p) * (1 - q) * (1 - r)
         if g == 1:
-            out = num * (bracket ** 2).inverse()
+            cofactor = cofactor * (bracket ** 2).inverse()
         else:
-            num = num * _substitute_bracket_poly(p, q, r)
-            out = num * (bracket ** 7).inverse()
+            cofactor = (cofactor * _substitute_bracket_poly(p, q, r)
+                        * (bracket ** 7).inverse())
+    out = TSeries([_product_part(pqr.parts, cofactor.parts, k)
+                   for k in range(order + 1)], order)
     for key, val in out.d.items():
         if not isinstance(val, int) or val < 0:
             raise NonIntegerCoefficientError(f"coefficient at {key} is {val}")

@@ -190,6 +190,32 @@ def test_verify_rejects_non_numeric_line_after_first_row(tmp_path, capsys, fixtu
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("line", [
+    "   0   1   1   1   1",
+    "  -1   1   1   1   1",
+    "   2  -1   1   2   1",
+    "   1   1   1   1  -1",
+    "   0         sum   1",
+    "   1         sum  -1",
+    "   1   1   1   1  --1",
+], ids=["zero-darts", "negative-darts", "negative-vertices", "negative-count",
+        "zero-dart-sum", "negative-sum", "double-minus"])
+def test_verify_row_without_darts_or_with_negative_field_is_parse_error(
+        line, tmp_path, capsys):
+    (tmp_path / "rooted-g0.txt").write_text("   d   v   e   f   h\n" + line + "\n")
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "empty fixture" not in captured.out
+    assert captured.err.startswith("parse error: ") and "rooted-g0.txt:2" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_fixture_with_no_rows_is_empty(tmp_path, capsys):
+    (tmp_path / "rooted-g0.txt").write_text("   d   v   e   f   h\n")
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 0
+    assert "rooted-g0.txt: empty fixture" in capsys.readouterr().out
+
+
 def test_crosscheck_small_bounds(capsys):
     assert main(["crosscheck", "--max-genus", "1", "--max-darts", "6"]) == 0
     out = capsys.readouterr().out

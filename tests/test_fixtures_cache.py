@@ -49,6 +49,16 @@ def test_parse_table_rejects_non_numeric_line_after_first_row():
         parse_table(SAMPLE + "d v e f h\n", source="bad.txt")   # after a sum line
 
 
+def test_parse_table_rejects_rows_without_darts_and_negative_fields():
+    for line in ("   0   1   1   1   1", "  -1   1   1   1   1", "   3   1  -2   2   3",
+                 "   3   1   2   2  -3", "   0         sum   4", "   3         sum  -4"):
+        with pytest.raises(FixtureFormatError, match=r"bad\.txt:2: need darts >= 1"):
+            parse_table("   d   v   e   f   h\n" + line + "\n", source="bad.txt")
+    for line in ("   3   1   1   3   --1", "   3   1   1   3   \u00b2", "   3  sum  +4"):
+        with pytest.raises(FixtureFormatError, match=r"bad\.txt:2: (unparseable|malformed)"):
+            parse_table("   d   v   e   f   h\n" + line + "\n", source="bad.txt")
+
+
 def test_render_parse_round_trip(census14):
     table = census14.table(1, max_darts=7)
     rows, sums = parse_table(render_table(table, 1))
