@@ -48,9 +48,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()   # a closed pipe shows here, not at interpreter exit
+        return code
     except CensusError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); point it at devnull so the
+        # interpreter's final flush does not fail again
+        sys.stdout = open(os.devnull, "w")
         return 1
 
 

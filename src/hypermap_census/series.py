@@ -6,15 +6,16 @@ Two series domains are implemented with exact integer coefficients:
   dart-count series H_g(z) of genus g <= 6.  These are given in closed form
   through an auxiliary parameter: either tau with z = tau*(1 - 2*tau), or t
   with z = t/(1 + 2*t)**2.  Both parameters are developed as series in z one
-  degree at a time (correctness of the defining relation is asserted), the
-  printed rational expressions are composed on top, and the two routes must
-  agree coefficientwise.
+  degree at a time, to the order asked for (correctness of the defining
+  relation is asserted), the printed rational expressions are composed on
+  top, and the two routes must agree coefficientwise.
 
 * :class:`TSeries` - trivariate by total degree, for the vertex/hyperedge/
   face-refined series H_g(x, y, u) of genus g <= 2.  The parameters p, q, r
-  solve x = p*(1-q-r), u = q*(1-p-r), y = r*(1-p-q); the genus-0 series is
-  p*q*r*(1-p-q-r) and the positive-genus ones are rational expressions in
-  p, q, r with the square-bracket kernel (1-p-q-r)**2 - 4*p*q*r.
+  solve x = p*(1-q-r), u = q*(1-p-r), y = r*(1-p-q), whose product gives
+  p*q*r = x*y*u / D with D = (1-q-r)(1-p-r)(1-p-q).  Every closed form is
+  p*q*r times a cofactor X, rational in p, q, r with the square-bracket
+  kernel (1-p-q-r)**2 - 4*p*q*r above genus 0, so H_g = x*y*u * X / D.
 
 Every denominator the closed forms divide by has constant term 1, so the
 inverses are integral and no rational arithmetic is needed:
@@ -43,7 +44,7 @@ class NonIntegerCoefficientError(SeriesError):
 
 
 class ValuationError(SeriesError):
-    """A series lacks the low-order terms an exact shift or inverse needs."""
+    """A series to invert has a constant term other than +-1."""
 
 
 class NoConvergenceError(SeriesError):
@@ -150,12 +151,6 @@ class USeries:
             out.append(-c0 * sum(self.c[i] * out[k - i] for i in range(1, k + 1)))
         return USeries(out, self.order)
 
-    def shift_down(self, k: int) -> "USeries":
-        """Exact division by z**k; the first k coefficients must vanish."""
-        if any(c != 0 for c in self.c[:k]):
-            raise ValuationError(f"series has valuation < {k}")
-        return USeries(self.c[k:], self.order - k)
-
     def valuation(self) -> int:
         for i, a in enumerate(self.c):
             if a != 0:
@@ -220,15 +215,13 @@ def hg_univariate(g: int, order: int) -> USeries:
     """Dart-count series of genus g (coefficient of z^d = rooted total at d darts)."""
     if not 0 <= g <= MAX_UNIVARIATE_GENUS:
         raise ValueError(f"no closed univariate form for genus {g}")
+    tau = tau_of_z(order)
     if g == 0:
-        # tau**3 * (1 - 3*tau) / z**2: develop two orders deeper, then shift
-        tau = tau_of_z(order + 2)
-        out = ((tau ** 3) * (1 - 3 * tau)).shift_down(2)
+        # tau**3 * (1 - 3*tau) / z**2, where z**2 = tau**2 * (1 - 2*tau)**2
+        out = tau * (1 - 3 * tau) * ((1 - 2 * tau) ** 2).inverse()
     elif g == 1:
-        tau = tau_of_z(order)
         out = (tau ** 3) * ((1 - tau) * (1 - 4 * tau) ** 2).inverse()
     else:
-        tau = tau_of_z(order)
         z = USeries.identity(order)
         num = 4 * z ** (2 * g - 2) * tau ** 3 * _poly_of(tau, GENUS_NUMERATOR_TAU[g])
         den = (1 - tau) ** (4 * g - 3) * (1 - 4 * tau) ** (5 * g - 3)
@@ -403,31 +396,33 @@ def hg_trivariate(g: int, order: int) -> TSeries:
         g = 1:  X = (1-p)(1-q)(1-r) / bracket**2
         g = 2:  X = (1-p)(1-q)(1-r) * (genus-2 numerator) / bracket**7
 
-    Since p, q and r have no constant term, p*q*r starts at degree 3, so
-    degree k of the product takes X only to degree k - 3: X is built from p,
-    q and r cut to order N - 3 (order 0 when N < 3) and the result is formed
-    one degree at a time.
+    The three defining relations multiply to x*y*u = p*q*r * D, with
+    D = (1-q-r)(1-p-r)(1-p-q).  As x*y*u is one monomial of degree 3, X / D
+    is formed from p, q and r solved to order max(N - 3, 1), and its
+    exponents are shifted by (1, 1, 1).
 
     The genus-0 series carries no constant term: the count starts at the
     one-dart hypermap, the empty hypermap is not included."""
     if not 0 <= g <= MAX_TRIVARIATE_GENUS:
         raise ValueError(f"no closed trivariate form for genus {g}")
-    p, q, r = pqr_of_xyu(order)
-    pqr = p * q * r
-    cut = max(order - 3, 0)
-    p, q, r = (TSeries(s.parts[:cut + 1], cut) for s in (p, q, r))
-    if g == 0:
-        cofactor = 1 - p - q - r
-    else:
-        bracket = (1 - p - q - r) ** 2 - 4 * (p * q * r)
-        cofactor = (1 - p) * (1 - q) * (1 - r)
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    p, q, r = pqr_of_xyu(max(order - 3, 1))
+    num = 1 - p - q - r
+    den = (1 - q - r) * (1 - p - r) * (1 - p - q)
+    if g > 0:
+        bracket = num ** 2 - 4 * (p * q * r)
+        num = (1 - p) * (1 - q) * (1 - r)
         if g == 1:
-            cofactor = cofactor * (bracket ** 2).inverse()
+            den = den * bracket ** 2
         else:
-            cofactor = (cofactor * _substitute_bracket_poly(p, q, r)
-                        * (bracket ** 7).inverse())
-    out = TSeries([_product_part(pqr.parts, cofactor.parts, k)
-                   for k in range(order + 1)], order)
+            num = num * _substitute_bracket_poly(p, q, r)
+            den = den * bracket ** 7
+    quotient = (num * den.inverse()).parts
+    out = TSeries([{} for _ in range(order + 1)], order)
+    for k in range(3, order + 1):
+        out.parts[k] = {(a + 1, b + 1, c + 1): v
+                        for (a, b, c), v in quotient[k - 3].items()}
     for key, val in out.d.items():
         if not isinstance(val, int) or val < 0:
             raise NonIntegerCoefficientError(f"coefficient at {key} is {val}")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,17 @@ def test_directory_at_cache_file_path_is_warned_about(capsys):
     assert refused.startswith("warning: ignoring cache file ")
     assert not_saved.startswith("warning: table not cached: ")
     assert list(cache.cache_dir().glob("*.tmp")) == []
+
+
+def test_closed_stdout_pipe_is_exit_1_without_traceback():
+    # -u writes each line at once, so the read below sees the first check's
+    # line while later ones are still to be written into the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    argv = [sys.executable, "-u", "-m", "hypermap_census.cli", "crosscheck", "--only", "series"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env, text=True) as proc:
+        assert "PASS" in proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err

