@@ -10,7 +10,8 @@ Format: a line-oriented text file, chosen over binary for diff-ability.
 
 Counts are decimal big integers.  The trailer holds the number of rows and
 the CRC-32 of their text, so a truncated, edited or half-written file is
-recognised, as is a file whose header names another table than its file name:
+recognised, as is a file whose header names another table than its file name
+or which holds a row of another genus or past the header's dart count:
 :func:`load_table` then serves nothing and says so in one line on stderr, and
 the caller recomputes the table and overwrites the file.  Writes are atomic
 (temp file in the same directory, then rename).  The cache directory is
@@ -94,6 +95,9 @@ def _parse(text: str) -> CountTable:
         if len(fields) != 5:
             raise ValueError(f"malformed row {row!r}")
         g, t, v, e, count = map(int, fields)
+        if g != table.max_genus or not 1 <= t <= table.max_darts:
+            raise ValueError(f"row {row!r} is not of genus {table.max_genus} "
+                             f"with 1 to {table.max_darts} darts")
         if (g, t, v, e) in table.keys():
             raise ValueError(f"repeated row {row!r}")
         table.add(g, t, v, e, count)

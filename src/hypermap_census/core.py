@@ -15,8 +15,6 @@ and never stored, so an inconsistent key simply cannot be represented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class CensusError(Exception):
     """Base class for all errors raised by this package."""
@@ -65,20 +63,20 @@ def validate_map_key(g: int, edges: int, v: int, f: int) -> bool:
     return v - edges + f == 2 * (1 - g)
 
 
-@dataclass
 class CountTable:
     """Sparse association (g, t, v, e) -> positive count, plus engine metadata.
 
     Zero counts are never stored; :meth:`count` returns 0 for absent keys.
-    Construction is single-writer: call :meth:`add` (or ``accumulate``) until
-    done, then :meth:`freeze`; a frozen table only serves reads.
+    Construction is single-writer: call :meth:`add` until done, then
+    :meth:`freeze`; a frozen table only serves reads.
     """
 
-    engine: str
-    max_genus: int
-    max_darts: int
-    _data: dict = field(default_factory=dict)
-    _frozen: bool = False
+    def __init__(self, engine: str, max_genus: int, max_darts: int):
+        self.engine = engine
+        self.max_genus = max_genus
+        self.max_darts = max_darts
+        self._data: dict = {}
+        self._frozen = False
 
     def add(self, g: int, t: int, v: int, e: int, count: int) -> None:
         if self._frozen:

@@ -14,14 +14,14 @@ be produced by copy-paste), so rendered output and fixtures are comparable
 after whitespace normalization.  A column-header line before the first row
 or sum line is tolerated and skipped by the parser; a non-numeric line after
 it is a :class:`FixtureFormatError`, as is a row or sum line with fewer than
-one dart or a negative field.
+one dart, a negative field or a field too long for ``int`` to convert.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .core import CountTable, faces_from_key
@@ -31,19 +31,8 @@ class FixtureFormatError(ValueError):
     """A fixture line that is neither a row, a sum row, nor a header before them."""
 
 
-@dataclass(frozen=True)
-class FixtureRow:
-    darts: int
-    vertices: int
-    hyperedges: int
-    faces: int
-    count: int
-
-
-@dataclass(frozen=True)
-class FixtureSum:
-    darts: int
-    total: int
+FixtureRow = namedtuple("FixtureRow", "darts vertices hyperedges faces count")
+FixtureSum = namedtuple("FixtureSum", "darts total")
 
 
 _INT = re.compile(r"-?[0-9]+")
@@ -52,9 +41,9 @@ _INT = re.compile(r"-?[0-9]+")
 def parse_table(text: str, source: str = "<string>"):
     """Parse fixture text into (rows, sums); errors name the source and line.
 
-    A row or sum line with fewer than one dart or a negative field is a
-    :class:`FixtureFormatError`; a field is an optional minus sign and ASCII
-    digits."""
+    A row or sum line with fewer than one dart, a negative field or a field
+    with more digits than ``int`` converts is a :class:`FixtureFormatError`;
+    a field is an optional minus sign and ASCII digits."""
     rows: list[FixtureRow] = []
     sums: list[FixtureSum] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -66,9 +55,7 @@ def parse_table(text: str, source: str = "<string>"):
             if len(tokens) != 3 or tokens[1] != "sum" or not all(
                     _INT.fullmatch(tok) for tok in (tokens[0], tokens[2])):
                 raise FixtureFormatError(f"{where}: malformed sum row {line!r}")
-            fields = (int(tokens[0]), int(tokens[2]))
-            _check_fields(fields, where, line)
-            sums.append(FixtureSum(*fields))
+            sums.append(FixtureSum(*_fields((tokens[0], tokens[2]), where, line)))
             continue
         numeric = [bool(_INT.fullmatch(tok)) for tok in tokens]
         if not any(numeric):
@@ -80,18 +67,23 @@ def parse_table(text: str, source: str = "<string>"):
             raise FixtureFormatError(f"{where}: unparseable row {line!r}")
         if len(tokens) != 5:
             raise FixtureFormatError(f"{where}: expected 5 columns, got {line!r}")
-        fields = tuple(int(tok) for tok in tokens)
-        _check_fields(fields, where, line)
-        rows.append(FixtureRow(*fields))
+        rows.append(FixtureRow(*_fields(tokens, where, line)))
     return rows, sums
 
 
-def _check_fields(fields: tuple[int, ...], where: str, line: str) -> None:
-    """Reject a row or sum whose dart count (the first field) is below 1 or
-    which has a negative field."""
+def _fields(tokens, where: str, line: str) -> list[int]:
+    """The integer fields of a row or sum line; FixtureFormatError for a
+    field with more digits than ``int`` converts, a dart count (the first
+    field) below 1 or a negative field."""
+    try:
+        fields = [int(tok) for tok in tokens]
+    except ValueError:
+        raise FixtureFormatError(
+            f"{where}: a field exceeds the integer-string digit limit") from None
     if fields[0] < 1 or min(fields) < 0:
         raise FixtureFormatError(
             f"{where}: need darts >= 1 and no negative field, got {line!r}")
+    return fields
 
 
 def table_rows(table: CountTable, genus: int):

@@ -49,8 +49,8 @@ ordinary-map analogue there is no semi-edge correction term anywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, gcd
 
@@ -74,21 +74,20 @@ def _mobius(n: int) -> int:
     return -m if n > 1 else m
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(namedtuple("OrbifoldSignature",
+                                   "period quotient_genus orbit_lengths")):
     """One automorphism class: period, quotient genus, branch orbit lengths.
 
     Orbit lengths are the stored representation; the branch index of a branch
     point is period // orbit_length (always >= 2).
     """
 
-    period: int
-    quotient_genus: int
-    orbit_lengths: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(self.period % l or l >= self.period for l in self.orbit_lengths):
-            raise ValueError(f"orbit lengths must be proper divisors of {self.period}")
+    def __new__(cls, period: int, quotient_genus: int, orbit_lengths: tuple[int, ...]):
+        if any(period % l or l >= period for l in orbit_lengths):
+            raise ValueError(f"orbit lengths must be proper divisors of {period}")
+        return super().__new__(cls, period, quotient_genus, orbit_lengths)
 
     @property
     def branch_indices(self) -> tuple[int, ...]:

@@ -61,7 +61,7 @@ class HomoPoly:
     """Homogeneous trivariate polynomial with nonnegative integer coefficients.
 
     Terms are keyed by (f, b) with the third exponent w = degree - f - b
-    implied; :meth:`coefficient` and :meth:`terms` expose full triples.
+    implied; :meth:`terms` exposes full triples.
     """
 
     __slots__ = ("degree", "_terms")
@@ -69,11 +69,6 @@ class HomoPoly:
     def __init__(self, degree: int, terms: dict[tuple[int, int], int]):
         self.degree = degree
         self._terms = terms
-
-    def coefficient(self, f: int, b: int, w: int) -> int:
-        if f + b + w != self.degree:
-            return 0
-        return self._terms.get((f, b), 0)
 
     def terms(self):
         """Yield ((f, b, w), coefficient) with f+b+w = degree, all >= 1.
@@ -86,9 +81,6 @@ class HomoPoly:
     def fb_coefficients(self) -> Mapping[tuple[int, int], int]:
         """Read-only view {(f, b): coefficient}, with w = degree - f - b."""
         return MappingProxyType(self._terms)
-
-    def total(self) -> int:
-        return sum(self._terms.values())
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -214,6 +214,17 @@ def test_verify_row_without_darts_or_with_negative_field_is_parse_error(
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("line", ["   1   1   1   1   {}", "   1         sum   {}"],
+                         ids=["row", "sum"])
+def test_verify_field_past_the_integer_digit_limit_is_parse_error(line, tmp_path, capsys):
+    (tmp_path / "rooted-g0.txt").write_text(
+        "   d   v   e   f   h\n" + line.format("1" * 5000) + "\n")
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "rooted-g0.txt:2" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_verify_fixture_with_no_rows_is_empty(tmp_path, capsys):
     (tmp_path / "rooted-g0.txt").write_text("   d   v   e   f   h\n")
     assert main(["verify", "--fixtures", str(tmp_path)]) == 0
@@ -289,3 +300,15 @@ def test_closed_stdout_pipe_is_exit_1_without_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI request pays for the import; these two modules once took
+    # about half of it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    code = ("import sys, hypermap_census.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -59,6 +59,13 @@ def test_parse_table_rejects_rows_without_darts_and_negative_fields():
             parse_table("   d   v   e   f   h\n" + line + "\n", source="bad.txt")
 
 
+def test_parse_table_rejects_fields_past_the_integer_digit_limit():
+    huge = "9" * 5000   # more digits than int() converts from a string
+    for line in (f"   3   1   1   3   {huge}", f"   3         sum   {huge}"):
+        with pytest.raises(FixtureFormatError, match=r"bad\.txt:2: .*digit limit"):
+            parse_table("   d   v   e   f   h\n" + line + "\n", source="bad.txt")
+
+
 def test_render_parse_round_trip(census14):
     table = census14.table(1, max_darts=7)
     rows, sums = parse_table(render_table(table, 1))
@@ -157,6 +164,10 @@ DAMAGE = {
     "garbage-line-resealed": lambda lines: _resealed(lines[:3] + ["1 6 2 x 7"] + lines[3:]),
     "header-of-another-table":
         lambda lines: [lines[0], lines[1].replace("max-darts=6", "max-darts=5")] + lines[2:],
+    "rows-of-another-genus-resealed":
+        lambda lines: _resealed(lines[:2] + ["0" + row[1:] for row in lines[2:-1]] + lines[-1:]),
+    "row-past-max-darts-resealed":
+        lambda lines: _resealed(lines[:-1] + ["1 7 1 1 5"] + lines[-1:]),
 }
 
 

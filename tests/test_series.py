@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -107,6 +108,14 @@ def test_tseries_guards():
     assert bracket * bracket.inverse() == TSeries.constant(1, 8)
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_series_kinds_do_not_mix(op):
+    u, t = USeries.identity(3), TSeries.variable("x", 3)
+    for a, b in ((u, t), (t, u)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
 def test_pqr_linear_parts():
     p, q, r = pqr_of_xyu(6)
     assert p.coefficient(1, 0, 0) == 1 and p.coefficient(0, 1, 0) == 0 \
@@ -143,11 +152,11 @@ def test_trivariate_lower_orders_are_truncations():
 
 def test_univariate_lower_orders_are_prefixes():
     for g in range(7):
-        tau_full = hg_univariate(g, 60).c
-        t_full = hg_via_t(g, 60).c
+        tau_full = hg_univariate(g, 60).parts
+        t_full = hg_via_t(g, 60).parts
         for n in range(1, 31):
-            assert hg_univariate(g, n).c == tau_full[:n + 1], (g, n)
-            assert hg_via_t(g, n).c == t_full[:n + 1], (g, n)
+            assert hg_univariate(g, n).parts == tau_full[:n + 1], (g, n)
+            assert hg_via_t(g, n).parts == t_full[:n + 1], (g, n)
 
 
 @pytest.mark.parametrize("build,genera", [
