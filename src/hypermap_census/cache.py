@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import sys
-import tempfile
 import zlib
 from pathlib import Path
 
@@ -48,6 +47,8 @@ def _trailer(body: str, rows: int) -> str:
 
 
 def save_table(table: CountTable, genus: int, path: Path | None = None) -> Path:
+    import tempfile   # here, not at module level: a request served from the cache never writes
+
     if path is None:
         path = table_path(table.engine, genus, table.max_darts)
     path.parent.mkdir(parents=True, exist_ok=True)

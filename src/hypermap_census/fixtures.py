@@ -19,7 +19,6 @@ one dart, a negative field or a field too long for ``int`` to convert.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import namedtuple
 from pathlib import Path
@@ -115,6 +114,8 @@ def render_table(table: CountTable, genus: int, count_header: str = "h") -> str:
 
 def render_json(table: CountTable, genus: int) -> str:
     """JSON rows; counts are decimal strings since they exceed 64-bit range."""
+    import json   # here, not at module level: only --format json needs it
+
     out = []
     for r in table_rows(table, genus):
         out.append({

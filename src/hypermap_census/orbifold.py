@@ -222,7 +222,8 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     """Sensed hypermap counts of genus G for all dart counts up to max_darts.
 
     ``rooted`` must cover genus up to G and darts up to max_darts (quotients
-    never exceed either bound).
+    never exceed either bound).  A negative genus or fewer than one dart is a
+    ValueError, as for :class:`RootedCensus`.
 
     Each branch point sits on its own quotient cell, so a distribution that
     puts sw, sb and sf branch points on vertices, hyperedges and faces only
@@ -248,6 +249,8 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     permutation of (W, B, F) through :meth:`CountTable.add`, which keeps its
     own checks.
     """
+    if G < 0 or max_darts < 1:
+        raise ValueError("need genus >= 0 and max_darts >= 1")
     if G > rooted.max_genus or max_darts > rooted.max_darts:
         raise NotFilledError("rooted census does not cover the requested bounds")
     acc: dict[tuple[int, int, int], int] = {}

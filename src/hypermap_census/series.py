@@ -21,6 +21,11 @@ accessors.  The two kinds never mix: combining them is a TypeError.
   p*q*r = x*y*u / D with D = (1-q-r)(1-p-r)(1-p-q).  Every closed form is
   p*q*r times a cofactor X, rational in p, q, r with the square-bracket
   kernel (1-p-q-r)**2 - 4*p*q*r above genus 0, so H_g = x*y*u * X / D.
+  X and D are symmetric in p, q, r and H_g in x, y, u, so H_g is built in
+  the symmetric coordinates X1 = x+y+u, X2 = xy+yu+ux, X3 = xyu: the same
+  class holds a series in X1, X2, X3 graded by weight a + 2b + 3c of
+  X1**a X2**b X3**c, with E1 = p+q+r, E2 = pq+qr+rp, E3 = pqr solved in it,
+  and only the finished series is expanded to x, y, u monomials.
 
 Every denominator the closed forms divide by has constant term 1, so the
 inverses are integral and no rational arithmetic is needed: the inverse
@@ -32,6 +37,7 @@ transcription slip in the embedded coefficient data
 
 from __future__ import annotations
 
+from math import comb
 from operator import add, mul
 
 from .core import CensusError
@@ -308,11 +314,12 @@ def _product_part(a: list, b: list, k: int) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def _sum_part(a: dict, b: dict) -> dict:
-    """The sum of two degree parts, without zero terms."""
-    out = dict(a)
-    for key, v in b.items():
-        out[key] = out.get(key, 0) + v
+def _linear_part(*terms) -> dict:
+    """sum(c * part for c, part in terms) for degree parts, without zero terms."""
+    out: dict = {}
+    for c, part in terms:
+        for key, v in part.items():
+            out[key] = out.get(key, 0) + c * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -324,6 +331,13 @@ class TSeries(_Series):
     product needs only parts of degree <= k (:func:`_product_part`), and a
     series defined by a triangular relation is solved one degree at a time.
     Exponents of x, y, u count vertices, hyperedges and faces respectively.
+
+    The arithmetic needs only that degrees add under multiplication, so
+    :func:`hg_trivariate` also uses this class for series in X1, X2, X3
+    graded by weight a + 2b + 3c (``parts[k]`` then holds the exponent
+    triples of weight k).  Such a series stays internal to this module:
+    :meth:`coefficient` and :attr:`d` read x, y, u exponents, and every
+    series returned is in x, y, u.
     """
 
     __slots__ = ()
@@ -339,8 +353,11 @@ class TSeries(_Series):
     def _scalar_part(value) -> dict:
         return {(0, 0, 0): value} if value else {}
 
-    _sum_part = staticmethod(_sum_part)
     _product_part = staticmethod(_product_part)
+
+    @staticmethod
+    def _sum_part(a: dict, b: dict) -> dict:
+        return _linear_part((1, a), (1, b))
 
     @staticmethod
     def _scale_part(part: dict, value) -> dict:
@@ -374,9 +391,9 @@ def pqr_of_xyu(order: int) -> tuple[TSeries, TSeries, TSeries]:
     p, q, r = [{}, {(1, 0, 0): 1}], [{}, {(0, 0, 1): 1}], [{}, {(0, 1, 0): 1}]
     for k in range(2, order + 1):
         pq, pr, qr = (_product_part(a, b, k) for a, b in ((p, q), (p, r), (q, r)))
-        p.append(_sum_part(pq, pr))
-        q.append(_sum_part(pq, qr))
-        r.append(_sum_part(pr, qr))
+        p.append(_linear_part((1, pq), (1, pr)))
+        q.append(_linear_part((1, pq), (1, qr)))
+        r.append(_linear_part((1, pr), (1, qr)))
     p, q, r = (TSeries(s, order) for s in (p, q, r))
     x, y, u = (TSeries.variable(name, order) for name in "xyu")
     if p * (1 - q - r) != x or q * (1 - p - r) != u or r * (1 - p - q) != y:
@@ -384,20 +401,150 @@ def pqr_of_xyu(order: int) -> tuple[TSeries, TSeries, TSeries]:
     return p, q, r
 
 
+def _elementary_of_symmetric(order: int) -> tuple[TSeries, TSeries, TSeries]:
+    """E1 = p+q+r, E2 = pq+qr+rp and E3 = pqr as weight-graded series in
+    X1 = x+y+u, X2 = xy+yu+ux and X3 = xyu, to weight ``order``: the key
+    (a, b, c) stands for X1**a X2**b X3**c, of weight a + 2b + 3c.
+
+    Summed over the three defining relations of :func:`pqr_of_xyu`,
+
+        X1 = E1 - 2*E2
+        X2 = (1-E1)(E2 - 3*E3) + E2**2 - 2*E1*E3
+        X3 = E3 * D,   D = (1-E1)**2 + (1-E1)*E2 + E3.
+
+    E1, E2 and E3 start at weights 1, 2 and 3, so in the division-free forms
+    E3 = X3 + E3*(1 - D), E2 = X2 + 3*E3 + E1*E2 - E1*E3 - E2**2 and
+    E1 = X1 + 2*E2 the weight-k part of E3, then of E2, then of E1 needs only
+    lower weights and the weight-k parts already found.  The three relations
+    are checked on the result."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    x1, x2, x3 = (TSeries([{key: 1} if k == w else {} for k in range(order + 1)], order)
+                  for w, key in ((1, (1, 0, 0)), (2, (0, 1, 0)), (3, (0, 0, 1))))
+    # w = 1 - D = 2*E1 - E1**2 - E2 + E1*E2 - E3, kept alongside
+    e1, e2, e3, w = [{}], [{}], [{}], [{}]
+    for k in range(1, order + 1):
+        e1e1, e1e2 = _product_part(e1, e1, k), _product_part(e1, e2, k)
+        e3.append(_linear_part((1, x3.parts[k]), (1, _product_part(e3, w, k))))
+        e2.append(_linear_part((1, x2.parts[k]), (3, e3[k]), (1, e1e2),
+                               (-1, _product_part(e1, e3, k)), (-1, _product_part(e2, e2, k))))
+        e1.append(_linear_part((1, x1.parts[k]), (2, e2[k])))
+        w.append(_linear_part((2, e1[k]), (-1, e1e1), (-1, e2[k]), (1, e1e2), (-1, e3[k])))
+    e1, e2, e3 = (TSeries(s, order) for s in (e1, e2, e3))
+    d = (1 - e1) ** 2 + (1 - e1) * e2 + e3
+    if e1 - 2 * e2 != x1 or e3 * d != x3 \
+            or (1 - e1) * (e2 - 3 * e3) + e2 ** 2 - 2 * e1 * e3 != x2:
+        raise NoConvergenceError("E1, E2, E3 do not close the symmetric system")
+    return e1, e2, e3
+
+
+def _expand_symmetric(series: TSeries) -> TSeries:
+    """A weight-graded series in X1, X2, X3 as a series in x, y, u.
+
+    With S = x + y and T = x*y, X1 = S + u, X2 = T + u*S and X3 = u*T, so
+    X1**a X2**b X3**c = u**c T**c (S + u)**a (T + u*S)**b.  One binomial pass
+    expands (T + u*S)**b, one (S + u)**a, and one S**s = (x + y)**s; each
+    collects equal terms before the next.  Weight k becomes total degree k."""
+    parts = []
+    for part in series.parts:
+        pass1: dict = {}
+        for (a, b, c), v in part.items():
+            for j in range(b + 1):
+                key = (a, j, b - j + c, j + c)           # X1**a S**j T**t u**e
+                pass1[key] = pass1.get(key, 0) + v * comb(b, j)
+        pass2: dict = {}
+        for (a, s, t, e), v in pass1.items():
+            for i in range(a + 1):
+                key = (s + a - i, t, e + i)              # S**s T**t u**e
+                pass2[key] = pass2.get(key, 0) + v * comb(a, i)
+        out: dict = {}
+        for (s, t, e), v in pass2.items():
+            for i in range(s + 1):
+                key = (i + t, s - i + t, e)              # x**i y**(s-i) (x*y)**t u**e
+                out[key] = out.get(key, 0) + v * comb(s, i)
+        parts.append({key: v for key, v in out.items() if v})
+    return TSeries(parts, series.order)
+
+
+def _elementary_form(terms) -> dict:
+    """A symmetric polynomial sum(coef * p**a * q**b * r**c), given as
+    ((a, b, c), coef) pairs, in E1, E2, E3: {(i, j, k): coef} for
+    coef * E1**i * E2**j * E3**k.
+
+    The lexicographically largest term p**a q**b r**c has a >= b >= c, and it
+    is the largest term of E1**(a-b) E2**(b-c) E3**c, so subtracting coef
+    times that product removes it and adds only smaller terms.  A largest
+    term with a < b or b < c shows the polynomial is not symmetric."""
+    e1 = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+    e2 = {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
+    powers = {(0, 0): {(0, 0, 0): 1}}
+
+    def power(i: int, j: int) -> dict:
+        """E1**i E2**j in p, q, r (a homogeneous polynomial is a one-part series)."""
+        if (i, j) not in powers:
+            prev, factor = ((i - 1, j), e1) if i else ((0, j - 1), e2)
+            powers[i, j] = _product_part([power(*prev)], [factor], 0)
+        return powers[i, j]
+
+    poly = dict(terms)
+    out = {}
+    while poly:
+        (a, b, c), coef = max(poly.items())
+        if not a >= b >= c:
+            raise ValueError(f"polynomial is not symmetric: leading term {(a, b, c)}")
+        out[a - b, b - c, c] = coef
+        for (x, y, z), v in power(a - b, b - c).items():
+            key = (x + c, y + c, z + c)
+            rest = poly.get(key, 0) - coef * v
+            if rest:
+                poly[key] = rest
+            else:
+                poly.pop(key, None)
+    return out
+
+
+def _evaluate(poly: dict, e1: TSeries, e2: TSeries, e3: TSeries) -> TSeries:
+    """sum(coef * e1**i * e2**j * e3**k) for poly {(i, j, k): coef}.
+
+    The powers of e1 are formed once, so each coefficient of e2**j e3**k is a
+    linear combination of them; Horner's rule in e2, then in e3, multiplies
+    those."""
+    powers = [TSeries.constant(1, e1.order)]
+    for _ in range(max(i for i, _, _ in poly)):
+        powers.append(powers[-1] * e1)
+    by_k: dict = {}
+    for (i, j, k), coef in poly.items():
+        group = by_k.setdefault(k, {})
+        group[j] = group.get(j, 0) + coef * powers[i]
+
+    def horner(coeffs: dict, s: TSeries):
+        out = coeffs[max(coeffs)]
+        for n in range(max(coeffs) - 1, -1, -1):
+            out = out * s + coeffs.get(n, 0)
+        return out
+
+    return horner({k: horner(group, e2) for k, group in by_k.items()}, e3)
+
+
 def hg_trivariate(g: int, order: int) -> TSeries:
     """Series counting rooted genus-g hypermaps by vertices (x), hyperedges (y)
     and faces (u), to total degree ``order``; defined in closed form for g <= 2.
 
-    Every closed form is p*q*r times a cofactor X:
+    Every closed form is p*q*r times a cofactor X, symmetric in p, q, r and so
+    a polynomial or rational function in E1 = p+q+r, E2 = pq+qr+rp, E3 = pqr:
 
-        g = 0:  X = 1 - p - q - r
-        g = 1:  X = (1-p)(1-q)(1-r) / bracket**2
-        g = 2:  X = (1-p)(1-q)(1-r) * (genus-2 numerator) / bracket**7
+        g = 0:  X = 1 - E1
+        g = 1:  X = (1 - E1 + E2 - E3) / B**2
+        g = 2:  X = (1 - E1 + E2 - E3) * P / B**7
 
-    The three defining relations multiply to x*y*u = p*q*r * D, with
-    D = (1-q-r)(1-p-r)(1-p-q).  As x*y*u is one monomial of degree 3, X / D
-    is formed from p, q and r solved to order max(N - 3, 1), and its
-    exponents are shifted by (1, 1, 1).
+    with the square-bracket kernel B = (1-E1)**2 - 4*E3 and P the genus-2
+    numerator ``PLANAR_BRACKET_POLY`` reduced to E1, E2, E3 at each call
+    (:func:`_elementary_form`).  As p*q*r = x*y*u / D, the series is
+    X3 * X / D, with X3 = x*y*u and D as in :func:`_elementary_of_symmetric`.
+    It is formed as a weight-graded series in X1, X2, X3, with E1, E2, E3
+    solved to weight max(N - 3, 1), and then expanded to x, y, u monomials
+    (:func:`_expand_symmetric`).  A weight-graded series stays internal:
+    :meth:`TSeries.coefficient` and :attr:`TSeries.d` read x, y, u exponents.
 
     The genus-0 series carries no constant term: the count starts at the
     one-dart hypermap, the empty hypermap is not included."""
@@ -405,55 +552,22 @@ def hg_trivariate(g: int, order: int) -> TSeries:
         raise ValueError(f"no closed trivariate form for genus {g}")
     if order < 1:
         raise ValueError("order must be >= 1")
-    p, q, r = pqr_of_xyu(max(order - 3, 1))
-    num = 1 - p - q - r
-    den = (1 - q - r) * (1 - p - r) * (1 - p - q)
+    e1, e2, e3 = _elementary_of_symmetric(max(order - 3, 1))
+    num = 1 - e1
+    den = (1 - e1) ** 2 + (1 - e1) * e2 + e3
     if g > 0:
-        bracket = num ** 2 - 4 * (p * q * r)
-        num = (1 - p) * (1 - q) * (1 - r)
+        bracket = (1 - e1) ** 2 - 4 * e3
+        num = 1 - e1 + e2 - e3
         if g == 1:
             den = den * bracket ** 2
         else:
-            num = num * _substitute_bracket_poly(p, q, r)
+            num = num * _evaluate(_elementary_form(PLANAR_BRACKET_POLY), e1, e2, e3)
             den = den * bracket ** 7
     quotient = (num * den.inverse()).parts
-    out = TSeries([{} for _ in range(order + 1)], order)
-    for k in range(3, order + 1):
-        out.parts[k] = {(a + 1, b + 1, c + 1): v
-                        for (a, b, c), v in quotient[k - 3].items()}
+    shifted = [{}, {}, {}] + [{(a, b, c + 1): v for (a, b, c), v in part.items()}
+                              for part in quotient]
+    out = _expand_symmetric(TSeries(shifted[:order + 1], order))
     for key, val in out.d.items():
         if not isinstance(val, int) or val < 0:
             raise NonIntegerCoefficientError(f"coefficient at {key} is {val}")
-    return out
-
-
-def _substitute_bracket_poly(p: TSeries, q: TSeries, r: TSeries) -> TSeries:
-    """Evaluate the genus-2 numerator polynomial at the parameter series.
-
-    Terms are grouped as sum_a p**a * (sum over (b,c) of coef * q**b * r**c)
-    with all powers cached, so each distinct monomial costs one series
-    product."""
-    order = p.order
-    by_a: dict[int, dict] = {}
-    for (a, b, c), coef in PLANAR_BRACKET_POLY:
-        by_a.setdefault(a, {})[b, c] = coef
-    qpow = _powers(q, max(b for (_, b, _), _ in PLANAR_BRACKET_POLY))
-    rpow = _powers(r, max(c for (_, _, c), _ in PLANAR_BRACKET_POLY))
-    ppow = _powers(p, max(a for (a, _, _), _ in PLANAR_BRACKET_POLY))
-    qr_cache: dict[tuple[int, int], TSeries] = {}
-    total = TSeries.constant(0, order)
-    for a, group in sorted(by_a.items()):
-        inner = TSeries.constant(0, order)
-        for (b, c), coef in group.items():
-            if (b, c) not in qr_cache:
-                qr_cache[b, c] = qpow[b] * rpow[c]
-            inner = inner + qr_cache[b, c] * coef
-        total = total + ppow[a] * inner
-    return total
-
-
-def _powers(s: TSeries, top: int) -> list[TSeries]:
-    out = [TSeries.constant(1, s.order)]
-    for _ in range(top):
-        out.append(out[-1] * s)
     return out

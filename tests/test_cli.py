@@ -303,11 +303,12 @@ def test_closed_stdout_pipe_is_exit_1_without_traceback():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # every CLI request pays for the import; these two modules once took
-    # about half of it
+    # every CLI request pays for the import; dataclasses and inspect once
+    # took about half of it, and tempfile and json serve only cache writes
+    # and --format json
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     code = ("import sys, hypermap_census.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json', 'tempfile'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr

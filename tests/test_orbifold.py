@@ -120,3 +120,10 @@ def test_sensed_requires_covering_rooted_census():
         sensed_table(1, 4, rooted)
     with pytest.raises(NotFilledError):
         sensed_table(0, 5, rooted)
+
+
+@pytest.mark.parametrize("G,max_darts", [(-1, 5), (2, 0), (0, -3)])
+def test_sensed_rejects_bad_bounds(G, max_darts):
+    rooted = RootedCensus(2, 5)
+    with pytest.raises(ValueError):
+        sensed_table(G, max_darts, rooted)

@@ -11,7 +11,9 @@ Further pins, also recorded before the sensed sum was restricted to canonical
 keys and the trivariate forms were solved at order N - 3: the trivariate
 series of genus <= 2 at total degrees 1-4 (where N - 3 <= 1) and 16, and,
 under the ``deep`` mark, the sensed tables of genus <= 14 at 40 darts, where
-the branch periods L and so the sum's ceiling offsets reach further.
+the branch periods L and so the sum's ceiling offsets reach further.  The
+trivariate series at total degree 20 were pinned before they were built in
+the symmetric coordinates x+y+u, xy+yu+ux, xyu.
 """
 
 import hashlib
@@ -79,6 +81,15 @@ SENSED_DEEP = [
 def test_trivariate_series_digest(g, order):
     rows = "\n".join(f"{k} {c}" for k, c in sorted(hg_trivariate(g, order).d.items()))
     assert hashlib.sha256(rows.encode()).hexdigest()[:16] == TRIVARIATE[order][g]
+
+
+TRIVARIATE_20 = ["b933ae3f4df8e27b", "a9826a16b96078ee", "86416598c0d49fd8"]
+
+
+@pytest.mark.parametrize("g", range(3))
+def test_trivariate_series_digest_at_order_20(g):
+    rows = "\n".join(f"{k} {c}" for k, c in sorted(hg_trivariate(g, 20).d.items()))
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == TRIVARIATE_20[g]
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,11 @@ from hypermap_census import (
     t_of_z,
     tau_of_z,
 )
+from hypermap_census.series import (
+    _elementary_form,
+    _elementary_of_symmetric,
+    _expand_symmetric,
+)
 from hypermap_census.series_data import (
     GENUS_NUMERATOR_T,
     GENUS_NUMERATOR_TAU,
@@ -168,6 +173,48 @@ def test_order_zero_is_rejected(build, genera):
     for g in genera:
         with pytest.raises(ValueError):
             build(g, 0)
+
+
+def _poly_product(a: dict, b: dict) -> dict:
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = tuple(i + j for i, j in zip(ka, kb))
+            out[key] = out.get(key, 0) + va * vb
+    return {key: v for key, v in out.items() if v}
+
+
+ELEMENTARY_PQR = [
+    {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1},
+    {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+    {(1, 1, 1): 1},
+]
+
+
+def test_elementary_series_expand_to_the_parameter_sums():
+    for order in range(1, 13):
+        p, q, r = pqr_of_xyu(order)
+        e1, e2, e3 = (_expand_symmetric(e) for e in _elementary_of_symmetric(order))
+        assert e1 == p + q + r, order
+        assert e2 == p * q + q * r + r * p, order
+        assert e3 == p * q * r, order
+
+
+def test_genus_two_numerator_in_elementary_form_expands_back():
+    total = {}
+    for exponents, coef in _elementary_form(PLANAR_BRACKET_POLY).items():
+        term = {(0, 0, 0): coef}
+        for factor, n in zip(ELEMENTARY_PQR, exponents):
+            for _ in range(n):
+                term = _poly_product(term, factor)
+        for key, v in term.items():
+            total[key] = total.get(key, 0) + v
+    assert {key: v for key, v in total.items() if v} == dict(PLANAR_BRACKET_POLY)
+
+
+def test_elementary_form_rejects_an_asymmetric_polynomial():
+    with pytest.raises(ValueError):
+        _elementary_form([((1, 0, 0), 1)])
 
 
 def test_trivariate_rejects_unavailable_genus():
