@@ -33,7 +33,9 @@ contraction) gives the sequenced-map recurrence implemented by
 
 All counts depend on D only as a multiset, so memo keys sort D; sublist sums
 iterate sub-multisets weighted by the number of sublists realizing each one
-(a product of binomials over repeated values).
+(a product of binomials over repeated values).  A count vanishes unless
+n + sum(D) <= t (n + sum(D) <= 2 * edges for maps), and the split sums' n1
+range is that guard restated for both factors, so no term it skips is nonzero.
 """
 
 from __future__ import annotations
@@ -109,11 +111,12 @@ class SequencedCensus:
         H = self._H
         total = 0
         for D1, D2, mult in sub_multisets(D):
+            s1, s2 = sum(D1), sum(D2)
             for g1 in range(g + 1):
                 g2 = g - g1
                 for t1 in range(t):
                     t2 = t - 1 - t1
-                    for n1 in range(n):
+                    for n1 in range(max(0, n - 1 - t2 + s2), min(n, t1 - s1 + 1)):
                         n2 = n - 1 - n1
                         for f1 in range(1, e + 1):
                             e2 = e - f1
@@ -173,11 +176,12 @@ class SequencedCensus:
         Hm = self._Hm
         total = 0
         for D1, D2, mult in sub_multisets(D):
+            s1, s2 = sum(D1), sum(D2)
             for g1 in range(g + 1):
                 g2 = g - g1
                 for t1 in range(t):
                     t2 = t - 1 - t1
-                    for n1 in range(n):
+                    for n1 in range(max(0, n - 1 - t2 + s2), min(n, t1 - s1 + 1)):
                         n2 = n - 1 - n1
                         for f1 in range(1, e + 1):
                             e2 = e - f1
@@ -222,13 +226,15 @@ class SequencedCensus:
         M = self._M
         total = 0
         for D1, D2, mult in sub_multisets(D):
+            s1, s2 = sum(D1), sum(D2)
             for g1 in range(g + 1):
                 g2 = g - g1
                 for e1 in range(e):
                     e2 = e - 1 - e1
                     for f1 in range(1, f):
                         f2 = f - f1
-                        for n1 in range(n - 1):
+                        for n1 in range(max(0, n - 2 - 2 * e2 + s2),
+                                        min(n - 1, 2 * e1 - s1 + 1)):
                             h1 = M(g1, e1, f1, n1, D1)
                             if h1:
                                 h2 = M(g2, e2, f2, n - 2 - n1, D2)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hypermap_census import SequencedCensus, degree_list, sub_multisets
+from hypermap_census.cli import CROSSCHECK_DEGREE_LISTS
 from bruteforce import map_census_by_pairs, hypermap_census_by_pairs, ordered_selections
 
 
@@ -68,6 +69,33 @@ def test_sequenced_against_dart_level_enumeration(seq):
                                     want += cnt * ordered_selections(others, D)
                             assert seq.hypermap(g, t, f, e, n, D) == want, \
                                 (g, t, f, e, n, D)
+
+
+def _check_hypermaps_against_pairs(seq, t):
+    by_cell = {}
+    for (g, v, e, f, n, others), cnt in hypermap_census_by_pairs(t).items():
+        by_cell.setdefault((g, e, f, n), []).append((others, cnt))
+    for g in range(0, 3):
+        for f in range(1, t + 2):
+            for e in range(1, t + 2):
+                for n in range(1, t + 1):
+                    for D in CROSSCHECK_DEGREE_LISTS:
+                        want = sum(cnt * ordered_selections(others, D)
+                                   for others, cnt in by_cell.get((g, e, f, n), ()))
+                        assert seq.hypermap(g, t, f, e, n, D) == want, \
+                            (g, t, f, e, n, D)
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_split_range_against_dart_level_enumeration(seq, t):
+    """The split sum's n1 range with nonempty degree lists: every
+    crosscheck degree list, genus <= 2, t <= 5."""
+    _check_hypermaps_against_pairs(seq, t)
+
+
+@pytest.mark.deep
+def test_split_range_against_dart_level_enumeration_six_darts(seq):
+    _check_hypermaps_against_pairs(seq, 6)
 
 
 def test_degree_list_canonicalizes():
