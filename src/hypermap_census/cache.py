@@ -11,9 +11,10 @@ Format: a line-oriented text file, chosen over binary for diff-ability.
 Counts are decimal big integers.  The trailer holds the number of rows and
 the CRC-32 of their text, so a truncated, edited or half-written file is
 recognised, as is a file whose header names another table than its file name
-or which holds a row of another genus or past the header's dart count:
-:func:`load_table` then serves nothing and says so in one line on stderr, and
-the caller recomputes the table and overwrites the file.  Writes are atomic
+or which holds a row :class:`CountTable` refuses (another genus, past the
+header's dart count, an invalid key or a count below 1): :func:`load_cached`
+then serves nothing and says so in one line on stderr, and the caller
+recomputes the table and overwrites the file.  Writes are atomic
 (temp file in the same directory, then rename).  The cache directory is
 ``$HYPERMAP_CACHE_DIR`` if set, else ``~/.cache/hypermap-census``.
 """
@@ -89,56 +90,45 @@ def _parse(text: str) -> CountTable:
     rows = lines[2:-2]
     if lines[-2] != _trailer("".join(row + "\n" for row in rows), len(rows)):
         raise ValueError("row count or checksum does not match the trailer")
-    table = CountTable(engine=header["engine"], max_genus=int(header["genus"]),
-                       max_darts=int(header["max-darts"]))
+    counts = {}
     for row in rows:
         fields = row.split(" ")
         if len(fields) != 5:
             raise ValueError(f"malformed row {row!r}")
         g, t, v, e, count = map(int, fields)
-        if g != table.max_genus or not 1 <= t <= table.max_darts:
-            raise ValueError(f"row {row!r} is not of genus {table.max_genus} "
-                             f"with 1 to {table.max_darts} darts")
-        if (g, t, v, e) in table.keys():
+        if (g, t, v, e) in counts:
             raise ValueError(f"repeated row {row!r}")
-        table.add(g, t, v, e, count)
-    return table.freeze()
-
-
-def _refuse(path: Path, reason) -> None:
-    print(f"warning: ignoring cache file {path}: {reason}", file=sys.stderr)
+        counts[g, t, v, e] = count
+    return CountTable(header["engine"], int(header["genus"]),
+                      int(header["max-darts"]), counts)
 
 
 def _read(path: Path) -> CountTable:
     """The table in the cache file ``path``; OSError, ValueError or CensusError
     when the file cannot be read, is damaged or names another table."""
     table = _parse(path.read_text())
-    if path.name != table_path(table.engine, table.max_genus, table.max_darts).name:
+    if path.name != table_path(table.engine, table.genus, table.max_darts).name:
         raise ValueError("its header names another table")
     return table
 
 
-def load_table(path: Path) -> CountTable | None:
-    """The table stored at ``path``, or None, with one line on stderr, when the
-    file cannot be read, is not an intact cache file or its header names
-    another table than its file name does."""
-    try:
-        return _read(path)
-    except (OSError, ValueError, CensusError) as exc:
-        _refuse(path, exc)
-        return None
-
-
 def load_cached(engine: str, genus: int, max_darts: int) -> CountTable | None:
+    """The cached table, or None when there is no cache file for it, or, with
+    one line on stderr, when the file cannot be read, is not an intact cache
+    file or its header names another table than its file name does."""
     path = table_path(engine, genus, max_darts)
     if not path.exists():
         return None
-    return load_table(path)
+    try:
+        return _read(path)
+    except (OSError, ValueError, CensusError) as exc:
+        print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def cache_entries():
     """Yield (path, status) for every ``*.counts`` file in the cache directory:
-    status is "ok" for a file :func:`load_table` serves, else the reason it
+    status is "ok" for a file :func:`load_cached` serves, else the reason it
     refuses the file."""
     root = cache_dir()
     if not root.is_dir():

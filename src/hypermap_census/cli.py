@@ -162,11 +162,9 @@ def _cells(genera, max_darts: int):
 
 def _seq_table(genus: int, max_darts: int):
     seq = SequencedCensus()
-    table = CountTable(engine="seq", max_genus=genus, max_darts=max_darts)
-    for g, t, f, e, v in _cells((genus,), max_darts):
-        if v >= 1:
-            table.add(g, t, v, e, seq.rooted(g, t, f, e))
-    return table.freeze()
+    counts = {(g, t, v, e): c for g, t, f, e, v in _cells((genus,), max_darts)
+              if v >= 1 and (c := seq.rooted(g, t, f, e))}
+    return CountTable("seq", genus, max_darts, counts)
 
 
 def _cmd_unrooted(args, parser) -> int:
@@ -181,9 +179,9 @@ def _cmd_unrooted(args, parser) -> int:
 
 def _emit(table, args, header: str = "h") -> None:
     if args.format == "json":
-        print(render_json(table, args.genus))
+        print(render_json(table))
     else:
-        print(render_table(table, args.genus, count_header=header), end="")
+        print(render_table(table, count_header=header), end="")
 
 
 def _cmd_series(args, parser) -> int:
@@ -292,9 +290,10 @@ def check_sandwich(rooted, max_genus: int, max_darts: int):
     return bad, n
 
 
-def fixture_failures(name: str, genus: int, table, rows, sums) -> list[str]:
+def fixture_failures(name: str, table, rows, sums) -> list[str]:
     """``FAIL`` lines for every fixture row or sum ``table`` does not reproduce
     and for every row ``table`` has that the fixture leaves out."""
+    genus = table.genus
     out = []
     for r in rows:
         ok = validate_hypermap_key(genus, r.darts, r.vertices, r.hyperedges, r.faces)
@@ -341,7 +340,7 @@ def _cmd_verify(args, parser) -> int:
         rooted = RootedCensus(genus, max_darts)
         table = rooted.table(genus) if kind == "rooted" else \
             sensed_table(genus, max_darts, rooted)
-        lines = fixture_failures(path.name, genus, table, rows, sums)
+        lines = fixture_failures(path.name, table, rows, sums)
         for line in lines:
             print(line)
         checked += len(rows) + len(sums)

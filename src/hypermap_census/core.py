@@ -8,9 +8,11 @@ together by an Euler-type genus relation:
   f faces, genus g)
 * ordinary maps:  v - e + f = 2*(1 - g)   (e edges)
 
-A :class:`CountTable` stores strictly positive counts keyed by
-``(g, t, v, e)``; the face count is always derived from the genus relation
-and never stored, so an inconsistent key simply cannot be represented.
+A :class:`CountTable` holds the strictly positive counts of one genus keyed
+by ``(g, t, v, e)``; the face count is always derived from the genus relation
+and never stored.  A table is built whole from a finished dict and checks
+every row once, so an inconsistent key or a row of another genus or dart
+range cannot be represented.
 """
 
 from __future__ import annotations
@@ -64,36 +66,31 @@ def validate_map_key(g: int, edges: int, v: int, f: int) -> bool:
 
 
 class CountTable:
-    """Sparse association (g, t, v, e) -> positive count, plus engine metadata.
+    """The positive counts of one genus, (g, t, v, e) -> count, plus the name
+    of the engine that computed them.
 
-    Zero counts are never stored; :meth:`count` returns 0 for absent keys.
-    Construction is single-writer: call :meth:`add` until done, then
-    :meth:`freeze`; a frozen table only serves reads.
+    Immutable: built whole from a finished ``{(g, t, v, e): count}`` dict.
+    The constructor checks every row once: its count is positive, g is the
+    table's genus, 1 <= t <= max_darts and the key meets the genus relation;
+    a negative count is a :class:`NegativeCoefficientError`, any other bad
+    row a :class:`CensusError`.  :meth:`count` returns 0 for absent keys.
     """
 
-    def __init__(self, engine: str, max_genus: int, max_darts: int):
+    def __init__(self, engine: str, genus: int, max_darts: int, counts: dict):
+        for (g, t, v, e), c in counts.items():
+            if c < 0:
+                raise NegativeCoefficientError(f"count {c} at {(g, t, v, e)}")
+            if c == 0:
+                raise CensusError(f"zero count at {(g, t, v, e)}")
+            if g != genus or not 1 <= t <= max_darts:
+                raise CensusError(f"row {(g, t, v, e)} is not of genus {genus} "
+                                  f"with 1 to {max_darts} darts")
+            if not validate_hypermap_key(g, t, v, e, faces_from_key(g, t, v, e)):
+                raise CensusError(f"invalid key (g={g}, t={t}, v={v}, e={e})")
         self.engine = engine
-        self.max_genus = max_genus
+        self.genus = genus
         self.max_darts = max_darts
-        self._data: dict = {}
-        self._frozen = False
-
-    def add(self, g: int, t: int, v: int, e: int, count: int) -> None:
-        if self._frozen:
-            raise CensusError("count table is frozen")
-        if count < 0:
-            raise NegativeCoefficientError(f"count {count} at {(g, t, v, e)}")
-        if count == 0:
-            return
-        f = faces_from_key(g, t, v, e)
-        if not validate_hypermap_key(g, t, v, e, f):
-            raise CensusError(f"invalid key (g={g}, t={t}, v={v}, e={e})")
-        key = (g, t, v, e)
-        self._data[key] = self._data.get(key, 0) + count
-
-    def freeze(self) -> "CountTable":
-        self._frozen = True
-        return self
+        self._data = dict(counts)
 
     def count(self, g: int, t: int, v: int, e: int, f: int | None = None) -> int:
         """Count at a key; 0 when absent or when f contradicts the genus relation."""
@@ -103,10 +100,6 @@ class CountTable:
 
     def total(self, g: int, t: int) -> int:
         return sum(c for (gg, tt, _, _), c in self._data.items() if gg == g and tt == t)
-
-    def keys(self):
-        """All stored (g, t, v, e) keys (unordered)."""
-        return self._data.keys()
 
     def items(self):
         return self._data.items()

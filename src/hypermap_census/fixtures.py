@@ -85,21 +85,18 @@ def _fields(tokens, where: str, line: str) -> list[int]:
     return fields
 
 
-def table_rows(table: CountTable, genus: int):
-    """Rows of one genus in display order: by darts, then faces descending,
+def table_rows(table: CountTable):
+    """The table's rows in display order: by darts, then faces descending,
     then vertices ascending."""
-    rows = []
-    for (g, t, v, e), count in table.items():
-        if g != genus:
-            continue
-        rows.append(FixtureRow(t, v, e, faces_from_key(g, t, v, e), count))
+    rows = [FixtureRow(t, v, e, faces_from_key(g, t, v, e), count)
+            for (g, t, v, e), count in table.items()]
     rows.sort(key=lambda r: (r.darts, -r.faces, r.vertices))
     return rows
 
 
-def render_table(table: CountTable, genus: int, count_header: str = "h") -> str:
-    """Fixed-width text for one genus, matching the fixture layout."""
-    rows = table_rows(table, genus)
+def render_table(table: CountTable, count_header: str = "h") -> str:
+    """Fixed-width text of the table, matching the fixture layout."""
+    rows = table_rows(table)
     lines = [f"{'d':>4}{'v':>4}{'e':>4}{'f':>4}   {count_header}"]
     darts = sorted({r.darts for r in rows})
     for d in darts:
@@ -112,14 +109,14 @@ def render_table(table: CountTable, genus: int, count_header: str = "h") -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def render_json(table: CountTable, genus: int) -> str:
+def render_json(table: CountTable) -> str:
     """JSON rows; counts are decimal strings since they exceed 64-bit range."""
     import json   # here, not at module level: only --format json needs it
 
     out = []
-    for r in table_rows(table, genus):
+    for r in table_rows(table):
         out.append({
-            "genus": genus,
+            "genus": table.genus,
             "darts": r.darts,
             "vertices": r.vertices,
             "hyperedges": r.hyperedges,
@@ -129,7 +126,7 @@ def render_json(table: CountTable, genus: int) -> str:
     return json.dumps(out, indent=2)
 
 
-_FIXTURE_NAME = re.compile(r"^(rooted|unrooted)-g(\d+)\.txt$")
+_FIXTURE_NAME = re.compile(r"^(rooted|unrooted)-g([0-9]+)\.txt$")
 
 
 def discover_fixtures(directory: str | Path):

@@ -245,9 +245,8 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     coefficient is looked up by (f, b).  The multinomials for n up to
     max_darts + 2 are listed once per call for each tuple of branch counts,
     and the face one is taken once per F'.  Each canonical total is checked
-    for exact division by E; its quotient is then added at every distinct
-    permutation of (W, B, F) through :meth:`CountTable.add`, which keeps its
-    own checks.
+    for exact division by E; its quotient is then stored at every
+    permutation of (W, B, F), and :class:`CountTable` checks each row.
     """
     if G < 0 or max_darts < 1:
         raise ValueError("need genus >= 0 and max_darts >= 1")
@@ -301,13 +300,13 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                                 key = (E, L * W1 + Wb, L * B1 + Bb)
                                 acc[key] = (acc.get(key, 0)
                                             + wf * mw[W1 + sw] * mb[b] * n_quot)
-    out = CountTable(engine="sensed", max_genus=G, max_darts=max_darts)
+    counts = {}
     for (E, W, B), val in acc.items():
         q, r = divmod(val, E)
         if r:
             raise InexactDivisionError(
                 f"accumulated total {val} at genus {G}, key {(E, W, B)} "
                 f"not divisible by {E}")
-        for v, e, _ in set(permutations((W, B, E + 2 - 2 * G - W - B))):
-            out.add(G, E, v, e, q)
-    return out.freeze()
+        for v, e, _ in permutations((W, B, E + 2 - 2 * G - W - B)):
+            counts[G, E, v, e] = q
+    return CountTable("sensed", G, max_darts, counts)

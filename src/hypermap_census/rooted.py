@@ -212,10 +212,8 @@ class RootedCensus:
         """Export one genus as a CountTable keyed (g, t, v, e)."""
         max_darts = self.max_darts if max_darts is None else max_darts
         self._check_range(genus, max_darts)
-        out = CountTable(engine=self.engine, max_genus=genus, max_darts=max_darts)
-        for d in range(1, max_darts + 1):
-            deg = d + 2 - 2 * genus
-            for (f, b), c in self._polys.get((genus, d), _ZERO).items():
-                out.add(genus, d, deg - f - b, b, c)
-        return out.freeze()
+        counts = {(genus, d, d + 2 - 2 * genus - f - b, b): c
+                  for d in range(1, max_darts + 1)
+                  for (f, b), c in self._polys.get((genus, d), _ZERO).items()}
+        return CountTable(self.engine, genus, max_darts, counts)
 

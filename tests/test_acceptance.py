@@ -62,7 +62,7 @@ def sensed_tables(census14):
 def test_criterion_1_rooted_tables_bit_exact(census14, fixtures_dir):
     started = time.time()
     for g, (name, rows, sums) in _fixture_tables(fixtures_dir, "rooted").items():
-        assert fixture_failures(name, g, census14.table(g), rows, sums) == []
+        assert fixture_failures(name, census14.table(g), rows, sums) == []
     elapsed = time.time() - started
     assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
     _report(1, "rooted census reproduces every printed row and sum (g<=6, d<=14)")
@@ -71,7 +71,7 @@ def test_criterion_1_rooted_tables_bit_exact(census14, fixtures_dir):
 def test_criterion_2_sensed_tables_bit_exact(sensed_tables, fixtures_dir):
     started = time.time()
     for g, (name, rows, sums) in _fixture_tables(fixtures_dir, "unrooted").items():
-        assert fixture_failures(name, g, sensed_tables[g], rows, sums) == []
+        assert fixture_failures(name, sensed_tables[g], rows, sums) == []
     elapsed = time.time() - started
     assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"
     _report(2, "sensed census reproduces every printed row and sum (g<=6, d<=14)")

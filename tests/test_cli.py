@@ -173,6 +173,14 @@ def test_verify_empty_directory_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_verify_ignores_fixture_names_with_non_ascii_digits(tmp_path, fixtures_dir):
+    text = (fixtures_dir / "rooted-g1.txt").read_text()
+    (tmp_path / "rooted-g\u0661.txt").write_text(text)   # ARABIC-INDIC DIGIT ONE
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fixtures", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("damage", ["directory", "not-utf-8"])
 def test_verify_unreadable_fixture_is_one_line_parse_error(damage, tmp_path, capsys):
     path = tmp_path / "rooted-g0.txt"

@@ -48,45 +48,34 @@ def test_validate_map_key():
     assert not validate_map_key(1, 2, 0, 2)
 
 
-def test_count_table_basics():
-    table = CountTable(engine="kz", max_genus=0, max_darts=4)
-    table.add(0, 4, 2, 2, 17)
-    table.add(0, 4, 1, 1, 1)
-    table.add(0, 4, 1, 1, 0)      # zero counts are dropped
+def test_count_table_reads():
+    table = CountTable("kz", 0, 4, {(0, 4, 2, 2): 17, (0, 4, 1, 1): 1, (0, 3, 1, 1): 3})
+    assert (table.engine, table.genus, table.max_darts) == ("kz", 0, 4)
     assert table.count(0, 4, 2, 2) == 17
     assert table.count(0, 4, 2, 2, f=2) == 17
     assert table.count(0, 4, 2, 2, f=3) == 0   # contradicts the genus relation
     assert table.count(0, 4, 3, 3) == 0
-    assert len(table) == 2
+    assert len(table) == 3
     assert table.total(0, 4) == 18
+    assert table.total(0, 2) == 0
 
 
-def test_count_table_accumulates_and_orders_do_not_matter():
-    entries = [(0, 4, 2, 2, 10), (0, 4, 1, 1, 1), (0, 4, 2, 2, 7)]
-    t1 = CountTable(engine="kz", max_genus=0, max_darts=4)
-    t2 = CountTable(engine="kz", max_genus=0, max_darts=4)
-    for g, t, v, e, c in entries:
-        t1.add(g, t, v, e, c)
-    for g, t, v, e, c in reversed(entries):
-        t2.add(g, t, v, e, c)
-    assert t1 == t2
-    assert t1.total(0, 4) == 18
+def test_count_table_equality_ignores_dict_order():
+    rows = [((0, 4, 2, 2), 17), ((0, 4, 1, 1), 1), ((0, 3, 1, 1), 3)]
+    table = CountTable("kz", 0, 4, dict(rows))
+    assert table == CountTable("kz", 0, 4, dict(reversed(rows)))
+    assert table != CountTable("kz", 0, 4, dict(rows[:2]))
+    assert table != CountTable("kz", 0, 4, {**dict(rows), (0, 3, 1, 1): 4})
 
 
-def test_count_table_rejects_bad_entries():
-    table = CountTable(engine="kz", max_genus=0, max_darts=4)
-    with pytest.raises(NegativeCoefficientError):
-        table.add(0, 4, 2, 2, -1)
-    with pytest.raises(CensusError):
-        table.add(0, 4, 4, 4, 1)   # no face count can satisfy the relation
-    table.freeze()
-    with pytest.raises(CensusError):
-        table.add(0, 4, 2, 2, 1)
-
-
-def test_every_stored_key_is_valid():
-    table = CountTable(engine="kz", max_genus=2, max_darts=9)
-    table.add(2, 7, 2, 1, 1183)
-    table.add(2, 5, 1, 1, 8)
-    for (g, t, v, e) in table.keys():
-        assert validate_hypermap_key(g, t, v, e, faces_from_key(g, t, v, e))
+@pytest.mark.parametrize("key,count,error", [
+    ((0, 4, 2, 2), -1, NegativeCoefficientError),
+    ((0, 4, 2, 2), 0, CensusError),
+    ((1, 3, 1, 1), 1, CensusError),    # a valid key of another genus
+    ((0, 0, 1, 0), 1, CensusError),    # the empty hypermap: no darts
+    ((0, 5, 3, 3), 1, CensusError),    # past max_darts
+    ((0, 4, 4, 4), 1, CensusError),    # no face count can satisfy the relation
+], ids=["negative", "zero", "other-genus", "no-darts", "past-max-darts", "invalid-key"])
+def test_count_table_rejects_bad_rows(key, count, error):
+    with pytest.raises(error):
+        CountTable("kz", 0, 4, {(0, 4, 1, 1): 1, key: count})

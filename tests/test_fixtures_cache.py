@@ -2,7 +2,7 @@ import zlib
 
 import pytest
 
-from hypermap_census import RootedCensus
+from hypermap_census import RootedCensus, sensed_table
 from hypermap_census import cache
 from hypermap_census.cli import main
 from hypermap_census.fixtures import (
@@ -68,7 +68,7 @@ def test_parse_table_rejects_fields_past_the_integer_digit_limit():
 
 def test_render_parse_round_trip(census14):
     table = census14.table(1, max_darts=7)
-    rows, sums = parse_table(render_table(table, 1))
+    rows, sums = parse_table(render_table(table))
     parsed = {(r.darts, r.vertices, r.hyperedges): r.count for r in rows}
     stored = {(t, v, e): c for (g, t, v, e), c in table.items()}
     assert parsed == stored
@@ -81,26 +81,32 @@ def test_render_matches_fixture_after_whitespace_normalization(census14, fixture
         return [" ".join(line.split()) for line in text.splitlines() if line.split()]
 
     table = census14.table(1)
-    rendered = render_table(table, 1)
+    rendered = render_table(table)
     fixture_text = (fixtures_dir / "rooted-g1.txt").read_text()
     assert normalize(rendered) == normalize(fixture_text)
 
 
 def test_rows_are_in_printed_order(census14):
-    rows = table_rows(census14.table(0, max_darts=4), 0)
+    rows = table_rows(census14.table(0, max_darts=4))
     order = [(r.darts, r.faces, r.vertices) for r in rows]
     assert order == sorted(order, key=lambda k: (k[0], -k[1], k[2]))
 
 
 def test_render_json_uses_string_counts(census14):
     import json
-    data = json.loads(render_json(census14.table(6), 6))
+    data = json.loads(render_json(census14.table(6)))
     assert all(set(row) == {"genus", "darts", "vertices", "hyperedges",
                             "faces", "count"} for row in data)
     big = next(r for r in data if r["darts"] == 14 and r["vertices"] == 1
                and r["hyperedges"] == 1)
     assert big["count"] == "2699672832"
     assert all(isinstance(r["count"], str) for r in data)
+
+
+def test_render_json_rows_carry_the_table_genus(census14):
+    import json
+    data = json.loads(render_json(sensed_table(2, 9, census14)))
+    assert data and {r["genus"] for r in data} == {2}
 
 
 def test_discover_fixtures(fixtures_dir):
@@ -114,12 +120,10 @@ def test_discover_fixtures(fixtures_dir):
 
 def test_cache_round_trip(census14):
     table = census14.table(2, max_darts=9)
-    path = cache.save_table(table, 2)
-    assert path.exists()
-    loaded = cache.load_table(path)
+    assert cache.save_table(table, 2) == cache.table_path("kz", 2, 9)
+    loaded = cache.load_cached("kz", 2, 9)
     assert loaded == table
-    assert loaded.engine == "kz" and loaded.max_darts == 9
-    assert cache.load_cached("kz", 2, 9) == table
+    assert (loaded.engine, loaded.genus, loaded.max_darts) == ("kz", 2, 9)
     assert cache.load_cached("kz", 2, 10) is None
 
 
