@@ -48,8 +48,13 @@ def _trailer(body: str, rows: int) -> str:
 
 
 def save_table(table: CountTable, genus: int, path: Path | None = None) -> Path:
+    """Write ``table`` atomically to ``path`` (default: its cache file) and
+    return the path.  ``genus`` must be ``table.genus``, else ValueError and
+    nothing is written."""
     import tempfile   # here, not at module level: a request served from the cache never writes
 
+    if genus != table.genus:
+        raise ValueError(f"genus {genus} given for a table of genus {table.genus}")
     if path is None:
         path = table_path(table.engine, genus, table.max_darts)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -323,6 +323,7 @@ def _cmd_verify(args, parser) -> int:
                      f"{args.fixtures}")
     failures = 0
     checked = 0
+    censuses = {}   # (genus, max_darts) -> RootedCensus, shared by rooted-gN and unrooted-gN
     for kind, genus, path in fixture_list:
         try:
             rows, sums = parse_table(path.read_text(), source=str(path))
@@ -337,7 +338,9 @@ def _cmd_verify(args, parser) -> int:
             continue
         max_darts = max([r.darts for r in rows] + [s.darts for s in sums])
         _check_bounds(parser, genus, max_darts, None)
-        rooted = RootedCensus(genus, max_darts)
+        if (genus, max_darts) not in censuses:
+            censuses[genus, max_darts] = RootedCensus(genus, max_darts)
+        rooted = censuses[genus, max_darts]
         table = rooted.table(genus) if kind == "rooted" else \
             sensed_table(genus, max_darts, rooted)
         lines = fixture_failures(path.name, table, rows, sums)

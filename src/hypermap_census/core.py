@@ -71,21 +71,24 @@ class CountTable:
 
     Immutable: built whole from a finished ``{(g, t, v, e): count}`` dict.
     The constructor checks every row once: its count is positive, g is the
-    table's genus, 1 <= t <= max_darts and the key meets the genus relation;
+    table's genus, 1 <= t <= max_darts and the key is one
+    :func:`validate_hypermap_key` accepts, that is g >= 0, v >= 1, e >= 0 and
+    f = t + 2 - 2g - v - e >= 1 (tested inline, on integers, for speed);
     a negative count is a :class:`NegativeCoefficientError`, any other bad
     row a :class:`CensusError`.  :meth:`count` returns 0 for absent keys.
     """
 
     def __init__(self, engine: str, genus: int, max_darts: int, counts: dict):
         for (g, t, v, e), c in counts.items():
-            if c < 0:
-                raise NegativeCoefficientError(f"count {c} at {(g, t, v, e)}")
-            if c == 0:
+            if c < 1:
+                if c < 0:
+                    raise NegativeCoefficientError(f"count {c} at {(g, t, v, e)}")
                 raise CensusError(f"zero count at {(g, t, v, e)}")
-            if g != genus or not 1 <= t <= max_darts:
+            if g != genus or t < 1 or t > max_darts:
                 raise CensusError(f"row {(g, t, v, e)} is not of genus {genus} "
                                   f"with 1 to {max_darts} darts")
-            if not validate_hypermap_key(g, t, v, e, faces_from_key(g, t, v, e)):
+            # validate_hypermap_key at t >= 1, with f from the genus relation
+            if g < 0 or v < 1 or e < 0 or t + 2 - 2 * g - v - e < 1:
                 raise CensusError(f"invalid key (g={g}, t={t}, v={v}, e={e})")
         self.engine = engine
         self.genus = genus

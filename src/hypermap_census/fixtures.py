@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .core import CountTable, faces_from_key
@@ -96,15 +98,14 @@ def table_rows(table: CountTable):
 
 def render_table(table: CountTable, count_header: str = "h") -> str:
     """Fixed-width text of the table, matching the fixture layout."""
-    rows = table_rows(table)
     lines = [f"{'d':>4}{'v':>4}{'e':>4}{'f':>4}   {count_header}"]
-    darts = sorted({r.darts for r in rows})
-    for d in darts:
-        block = [r for r in rows if r.darts == d]
+    for d, block in groupby(table_rows(table), key=attrgetter("darts")):
+        total = 0
         for r in block:
-            lines.append(f"{r.darts:4d}{r.vertices:4d}{r.hyperedges:4d}{r.faces:4d}   {r.count}")
+            lines.append(f"{d:4d}{r.vertices:4d}{r.hyperedges:4d}{r.faces:4d}   {r.count}")
+            total += r.count
         lines.append("")
-        lines.append(f"{d:4d}{'sum':>12}   {sum(r.count for r in block)}")
+        lines.append(f"{d:4d}{'sum':>12}   {total}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

@@ -42,6 +42,13 @@ never lets W drop below zero.  Each canonical total is checked for exact
 division by E before its quotient is copied to the other permutations of
 (W, B, F); a copy has the same value, so it passes the same check.
 
+A census up to E darts only reaches quotients of at most E // L darts, and a
+quotient of genus g with d darts has d + 2 - 2g cells, each carrying at most
+one branch point.  So :func:`sensed_table` enumerates the signatures of
+period L with that cap applied during the enumeration: a multiset of orbit
+lengths stops growing once it holds E // L + 2 - 2g entries.
+:func:`admissible_signatures` is the same enumeration without the cap.
+
 Quotients of hypermaps never contain half-darts (in bipartite-map language a
 dangling semi-edge would join two like-coloured vertices), so unlike the
 ordinary-map analogue there is no semi-edge correction term anywhere.
@@ -50,7 +57,6 @@ ordinary-map analogue there is no semi-edge correction term anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Mapping
 from itertools import permutations
 from math import factorial, gcd
 
@@ -110,26 +116,45 @@ def admissible_signatures(G: int, L: int) -> list[OrbifoldSignature]:
     divisors of L meeting it are enumerated directly.  L = 1 admits exactly
     the trivial signature (g = G, no branch points).
     """
+    return _signatures(G, L, None)
+
+
+def _signatures(G: int, L: int, top: int | None) -> list[OrbifoldSignature]:
+    """:func:`admissible_signatures`, or with ``top`` only those whose quotient
+    fits in ``top`` darts: max(Q, 3) + 2g - 2 <= top for Q branch points.  The
+    cap on Q is applied while the multisets are enumerated."""
     sigs = []
     parts = sorted((L - l for l in _divisors(L) if l < L), reverse=True)
-    for g in range(G + 1):
+    # max(Q, 3) <= top + 2 - 2g needs 2g + 1 <= top
+    last = G if top is None else min(G, (top - 1) // 2)
+    for g in range(last + 1):
         need = L * (2 - 2 * g) - (2 - 2 * G)
         if need < 0:
             continue
-        for lens in _deficiency_multisets(need, parts, L):
+        # uncapped, need bounds Q, as every deficiency is at least 1
+        cap = need if top is None else top + 2 - 2 * g
+        for lens in _deficiency_multisets(need, parts, L, cap):
             sigs.append(OrbifoldSignature(L, g, lens))
     return sigs
 
 
-def _deficiency_multisets(need, parts, L):
-    """Orbit-length multisets (sorted tuples) whose deficiencies, taken from
-    the distinct values ``parts``, sum to ``need``."""
+def _deficiency_multisets(need, parts, L, cap):
+    """Orbit-length multisets (sorted tuples) of at most ``cap`` entries whose
+    deficiencies, taken from the distinct values ``parts`` (descending), sum
+    to ``need``.  A branch stops once the largest part left cannot make up
+    the remainder in the entries still allowed."""
     def rec(rem, idx, acc):
         if rem == 0:
-            yield tuple(sorted(acc))
+            yield tuple(acc)    # lengths L - p ascend as p descends
         elif idx < len(parts):
             p = parts[idx]
-            for k in range(rem // p + 1):
+            room = cap - len(acc)
+            if rem > p * room:
+                return
+            most = rem // p
+            if most > room:
+                most = room
+            for k in range(most + 1):
                 yield from rec(rem - k * p, idx + 1, acc + [L - p] * k)
 
     return rec(need, 0, [])
@@ -230,7 +255,11 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     meets quotient terms of degree at least max(sw,1) + max(sb,1) + max(sf,1),
     that is from d = that sum - 2 + 2g darts on.  A signature with Q branch
     points therefore needs max(Q, 3) + 2g - 2 <= max_darts // L quotient
-    darts, and is skipped when it cannot have them.
+    darts.  The signatures are enumerated under that cap: no quotient genus
+    with 2g + 1 > max_darts // L is tried, and a multiset of orbit lengths
+    stops growing at max_darts // L + 2 - 2g entries, so a signature that
+    cannot contribute is never built (:func:`admissible_signatures` runs the
+    same enumeration uncapped).
 
     The sum visits only canonical output keys W >= B >= F.  In the shifted
     exponents W' = w - sw, B' = b - sb, F' = f - sf, which add up to
@@ -241,8 +270,11 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
 
     (B >= F, then W >= B with W' = rest - F' - B'), with B' also at least 0
     and at most rest - F' (so W' >= 0).  Both bounds move towards each other
-    as F' grows, so the first empty range ends the F' loop.  Each quotient
-    coefficient is looked up by (f, b).  The multinomials for n up to
+    as F' grows, so the first empty range ends the F' loop, and the d loop
+    starts at the first d whose F' = 0 range is not empty.  Inside the B'
+    loop W' and L*W' + Wb step down, and L*B' + Bb up, rather than being
+    recomputed.  Each quotient coefficient is looked up by (f, b) through a
+    lookup bound once per (g, d).  The multinomials for n up to
     max_darts + 2 are listed once per call for each tuple of branch counts,
     and the face one is taken once per F'.  Each canonical total is checked
     for exact division by E; its quotient is then stored at every
@@ -253,53 +285,65 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     if G > rooted.max_genus or max_darts > rooted.max_darts:
         raise NotFilledError("rooted census does not cover the requested bounds")
     acc: dict[tuple[int, int, int], int] = {}
-    polys: dict[tuple[int, int], Mapping] = {}
+    quotients: dict[int, list] = {}
     mults: dict[tuple[int, ...], list[int]] = {}
     for L in range(1, max_darts + 1):
         top = max_darts // L
-        for sig in admissible_signatures(G, L):
-            g = sig.quotient_genus
-            # a quotient carries at least one cell per branch point and has
-            # degree d + 2 - 2g >= 3
-            if max(len(sig.orbit_lengths), 3) + 2 * g - 2 > top:
-                continue
+        for sig in _signatures(G, L, top):
             weight0 = epi0(sig)
             if weight0 == 0:
                 continue
+            g = sig.quotient_genus
+            if g not in quotients:    # top only falls as L grows
+                quotients[g] = [None] + [rooted.poly(g, d).fb_coefficients().get
+                                         for d in range(1, top + 1)]
+            coeffs = quotients[g]
             qs: dict[int, int] = {}
             for l in sig.orbit_lengths:
                 qs[l] = qs.get(l, 0) + 1
             for parts, (sw, sb, sf), (Wb, Bb, Fb) in _branch_distributions(qs):
-                low = max(sw, 1) + max(sb, 1) + max(sf, 1) - 2 + 2 * g
-                if low > top:
+                c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
+                c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
+                shift = 2 * g - 2 + sw + sb + sf    # d - rest
+                b0 = c_bf if c_bf > 0 else 0
+                # the first d with a branch point on a cell of its own, and
+                # with B' from b0 to min(rest, (rest - c_wb) // 2) not empty at
+                # F' = 0: below it every F' range is empty
+                first = max((sw or 1) + (sb or 1) + (sf or 1) - 2 + 2 * g,
+                            shift + b0, shift + 2 * b0 + c_wb)
+                if first > top:
                     continue
                 for k in parts:
                     if k not in mults:
                         mults[k] = _multinomials(k, max_darts + 2)
-                mw, mb, mf = (mults[k] for k in parts)
-                c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
-                c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
-                for d in range(low, top + 1):
-                    if (g, d) not in polys:
-                        polys[g, d] = rooted.poly(g, d).fb_coefficients()
-                    coeff = polys[g, d].get
+                kw, kb, kf = parts
+                mw, mb, mf = mults[kw], mults[kb], mults[kf]
+                for d in range(first, top + 1):
+                    coeff = coeffs[d]
                     E = L * d
-                    rest = d + 2 - 2 * g - sw - sb - sf
-                    for F1 in range(rest + 1):
-                        lo = max(F1 + c_bf, 0)
-                        hi = min(rest - F1, (rest - F1 - c_wb) // 2)
-                        if lo > hi:
+                    R = d - shift                        # rest - F'
+                    lo = c_bf                            # F' + c_bf
+                    for f in range(sf, sf + R + 1):      # f = F' + sf
+                        B1 = lo if lo > 0 else 0
+                        hi = (R - c_wb) // 2
+                        if hi > R:
+                            hi = R
+                        if B1 > hi:
                             break
-                        f = F1 + sf
                         wf = weight0 * mf[f]
-                        for B1 in range(lo, hi + 1):
-                            b = B1 + sb
+                        w = R - B1 + sw                  # W' + sw
+                        W = L * (R - B1) + Wb
+                        B = L * B1 + Bb
+                        for b in range(B1 + sb, hi + sb + 1):
                             n_quot = coeff((f, b))
                             if n_quot:
-                                W1 = rest - F1 - B1
-                                key = (E, L * W1 + Wb, L * B1 + Bb)
-                                acc[key] = (acc.get(key, 0)
-                                            + wf * mw[W1 + sw] * mb[b] * n_quot)
+                                key = (E, W, B)
+                                acc[key] = acc.get(key, 0) + wf * mw[w] * mb[b] * n_quot
+                            w -= 1
+                            W -= L
+                            B += L
+                        R -= 1
+                        lo += 1
     counts = {}
     for (E, W, B), val in acc.items():
         q, r = divmod(val, E)

@@ -137,6 +137,24 @@ def test_verify_full_fixture_set(capsys, fixtures_dir):
     assert "0 failures" in out
 
 
+def test_verify_fills_one_census_per_genus(capsys, fixtures_dir, monkeypatch):
+    from hypermap_census import cli
+
+    fills = []
+
+    class CountedCensus(cli.RootedCensus):
+        def __init__(self, max_genus, max_darts):
+            fills.append((max_genus, max_darts))
+            super().__init__(max_genus, max_darts)
+
+    monkeypatch.setattr(cli, "RootedCensus", CountedCensus)
+    assert main(["verify", "--fixtures", str(fixtures_dir)]) == 0
+    assert sorted(fills) == [(g, 14) for g in range(7)]
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:-1]] == [
+        f"{kind}-g{g}.txt" for kind in ("rooted", "unrooted") for g in range(7)]
+
+
 def test_verify_detects_single_perturbed_value(tmp_path, capsys, fixtures_dir):
     text = (fixtures_dir / "rooted-g6.txt").read_text()
     assert "68428800" in text

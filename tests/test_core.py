@@ -79,3 +79,23 @@ def test_count_table_equality_ignores_dict_order():
 def test_count_table_rejects_bad_rows(key, count, error):
     with pytest.raises(error):
         CountTable("kz", 0, 4, {(0, 4, 1, 1): 1, key: count})
+
+
+def test_count_table_accepts_exactly_the_valid_keys():
+    """The constructor's inline row check is validate_hypermap_key's predicate
+    (f from the genus relation), with one error class for every rejection."""
+    for g in range(-1, 4):
+        for t in range(1, 9):
+            for v in range(-1, 11):
+                for e in range(-1, 11):
+                    key = (g, t, v, e)
+                    valid = validate_hypermap_key(*key, faces_from_key(*key))
+                    try:
+                        table = CountTable("kz", g, 8, {key: 1})
+                    except CensusError as exc:
+                        assert not valid, key
+                        assert type(exc) is CensusError
+                        assert str(exc) == f"invalid key (g={g}, t={t}, v={v}, e={e})"
+                    else:
+                        assert valid, key
+                        assert table.count(*key) == 1

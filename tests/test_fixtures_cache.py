@@ -127,6 +127,14 @@ def test_cache_round_trip(census14):
     assert cache.load_cached("kz", 2, 10) is None
 
 
+def test_save_table_refuses_another_genus():
+    table = RootedCensus(1, 5).table(1)
+    with pytest.raises(ValueError, match="genus 2 given for a table of genus 1"):
+        cache.save_table(table, 2)
+    assert not cache.cache_dir().exists()
+    assert cache.load_cached("kz", 2, 5) is None
+
+
 def test_cache_respects_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("HYPERMAP_CACHE_DIR", str(tmp_path / "elsewhere"))
     assert cache.cache_dir() == tmp_path / "elsewhere"

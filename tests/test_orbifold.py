@@ -11,6 +11,7 @@ from hypermap_census import (
     faces_from_key,
     sensed_table,
 )
+from hypermap_census.orbifold import _signatures
 from bruteforce import epi_count_by_tuples, signatures_by_search
 
 
@@ -127,3 +128,16 @@ def test_sensed_rejects_bad_bounds(G, max_darts):
     rooted = RootedCensus(2, 5)
     with pytest.raises(ValueError):
         sensed_table(G, max_darts, rooted)
+
+
+def test_capped_signatures_are_the_admissible_ones_that_fit():
+    """sensed_table's enumeration with the branch-point cap applied while the
+    multisets grow equals the uncapped list filtered afterwards, in order,
+    for every max_darts <= 50 (through its quotient dart cap max_darts // L)."""
+    for G in range(15):
+        for L in range(1, 51):
+            uncapped = admissible_signatures(G, L)
+            for top in range(50 // L + 1):
+                assert _signatures(G, L, top) == [
+                    sig for sig in uncapped
+                    if max(len(sig.orbit_lengths), 3) + 2 * sig.quotient_genus - 2 <= top]
