@@ -6,6 +6,7 @@ import pytest
 
 from hypermap_census import (
     NonIntegerCoefficientError,
+    RootedCensus,
     TSeries,
     USeries,
     ValuationError,
@@ -16,10 +17,13 @@ from hypermap_census import (
     t_of_z,
     tau_of_z,
 )
+from hypermap_census.cli import DEEP_MAX_DARTS, DEFAULT_MAX_DARTS
 from hypermap_census.series import (
+    MAX_UNIVARIATE_GENUS,
     _elementary_form,
     _elementary_of_symmetric,
     _expand_symmetric,
+    _rational_at,
 )
 from hypermap_census.series_data import (
     GENUS_NUMERATOR_T,
@@ -101,6 +105,17 @@ def test_useries_guards():
         hg_univariate(7, 10)
 
 
+def test_rational_at_guards():
+    tau = tau_of_z(6)
+    for den in ([2, 1], [0, 1], [-3]):
+        with pytest.raises(ValuationError):
+            _rational_at(tau, [1], den, 0)
+    assert _rational_at(tau, [1, 1], [1, -1], 7) == USeries.constant(0, 6)
+    assert _rational_at(tau, [1, 1], [1, -1], 6) == USeries([0] * 6 + [1], 6)
+    # a constant term of -1 divides as well: tau / (tau - 1) = -tau / (1 - tau)
+    assert _rational_at(tau, [0, 1], [-1, 1], 0) == -1 * tau * (1 - tau).inverse()
+
+
 def test_tseries_guards():
     with pytest.raises(ValuationError):
         (2 + TSeries.variable("x", 3)).inverse()
@@ -162,6 +177,17 @@ def test_univariate_lower_orders_are_prefixes():
         for n in range(1, 31):
             assert hg_univariate(g, n).parts == tau_full[:n + 1], (g, n)
             assert hg_via_t(g, n).parts == t_full[:n + 1], (g, n)
+
+
+@pytest.mark.parametrize("max_darts", [
+    DEFAULT_MAX_DARTS, pytest.param(DEEP_MAX_DARTS, marks=pytest.mark.deep)])
+def test_series_equal_fill_totals_at_the_cli_dart_caps(max_darts):
+    # every coefficient `series` prints, without and with --deep
+    census = RootedCensus(MAX_UNIVARIATE_GENUS, max_darts)
+    for g in range(MAX_UNIVARIATE_GENUS + 1):
+        totals = [0] + [census.total(g, d) for d in range(1, max_darts + 1)]
+        assert hg_univariate(g, max_darts).parts == totals, g
+        assert hg_via_t(g, max_darts).parts == totals, g
 
 
 @pytest.mark.parametrize("build,genera", [
