@@ -131,7 +131,8 @@ _FIXTURE_NAME = re.compile(r"^(rooted|unrooted)-g([0-9]+)\.txt$")
 
 
 def discover_fixtures(directory: str | Path):
-    """Yield (kind, genus, path) for fixture files named <kind>-g<genus>.txt."""
+    """(kind, genus, path) for each fixture file named <kind>-g<genus>.txt in
+    ``directory``, as a list sorted by file name."""
     found = []
     for path in sorted(Path(directory).iterdir()):
         m = _FIXTURE_NAME.match(path.name)

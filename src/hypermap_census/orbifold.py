@@ -91,6 +91,8 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature",
     __slots__ = ()
 
     def __new__(cls, period: int, quotient_genus: int, orbit_lengths: tuple[int, ...]):
+        if period < 1 or quotient_genus < 0:
+            raise ValueError("need period >= 1 and quotient genus >= 0")
         if any(period % l or l >= period for l in orbit_lengths):
             raise ValueError(f"orbit lengths must be proper divisors of {period}")
         return super().__new__(cls, period, quotient_genus, orbit_lengths)
@@ -114,8 +116,11 @@ def admissible_signatures(G: int, L: int) -> list[OrbifoldSignature]:
     For each quotient genus g the Riemann-Hurwitz relation prescribes the
     total orbit-length deficiency sum(L - l_i); the multisets of proper
     divisors of L meeting it are enumerated directly.  L = 1 admits exactly
-    the trivial signature (g = G, no branch points).
+    the trivial signature (g = G, no branch points).  A negative genus or a
+    period below 1 is a ValueError, as for :func:`sensed_table`.
     """
+    if G < 0 or L < 1:
+        raise ValueError("need genus >= 0 and period >= 1")
     return _signatures(G, L, None)
 
 

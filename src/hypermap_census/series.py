@@ -3,7 +3,7 @@
 Two kinds of truncated series with exact integer coefficients share one
 arithmetic.  A base class stores a series by degree (``parts[k]`` is its
 degree-k part) and defines, once, the coercion of numbers to constant series,
-``+``, ``-``, ``*``, ``**``, the triangular inverse and ``==``; each kind
+``+``, ``-``, ``*``, ``**``, ``/`` and ``==``; each kind
 supplies only the kernels that add, scale and multiply its parts, and its own
 accessors.  The two kinds never mix: combining them is a TypeError.
 
@@ -17,7 +17,7 @@ accessors.  The two kinds never mix: combining them is a TypeError.
   the embedded numerators and binomial expansions of the denominator factors
   (the table is in :func:`hg_univariate` and :func:`hg_via_t`).  One walk
   over the powers of the parameter evaluates A and B together, and one
-  triangular division gives the quotient (:func:`_rational_at`).  The two
+  series division gives the quotient (:func:`_rational_at`).  The two
   routes share no coefficient data and must agree coefficientwise.
 
 * :class:`TSeries` - trivariate by total degree, for the vertex/hyperedge/
@@ -33,11 +33,11 @@ accessors.  The two kinds never mix: combining them is a TypeError.
   and only the finished series is expanded to x, y, u monomials.
 
 Every denominator the closed forms divide by has constant term 1, so the
-quotients are integral and no rational arithmetic is needed: the inverse and
-:func:`_rational_at` accept only a constant term of +-1.  Every final series
-must still have nonnegative integer coefficients; this is asserted, not
-assumed, and a failure points at a transcription slip in the embedded
-coefficient data (:mod:`hypermap_census.series_data`).
+quotients are integral and no rational arithmetic is needed: ``/``, the one
+division both kinds share, accepts only a divisor with constant term +-1.
+Every final series must still have nonnegative integer coefficients; this
+is asserted, not assumed, and a failure points at a transcription slip in
+the embedded coefficient data (:mod:`hypermap_census.series_data`).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class NonIntegerCoefficientError(SeriesError):
 
 
 class ValuationError(SeriesError):
-    """A series to invert has a constant term other than +-1."""
+    """A divisor has a constant term other than +-1."""
 
 
 class NoConvergenceError(SeriesError):
@@ -138,18 +138,24 @@ class _Series:
                 base = base * base
         return result
 
-    def inverse(self):
-        """Multiplicative inverse; requires a constant term c0 of +-1 (then c0
-        is its own inverse and every coefficient of the inverse is an integer).
-        Degree k of the inverse is -c0 times the degree-k part of
-        (self - c0) * inverse, which involves only lower degrees of the inverse."""
-        c0 = self._constant_term()
+    def __truediv__(self, other):
+        """Exact quotient; the divisor's constant term c0 must be +-1, its own
+        inverse, so every coefficient of the quotient q is an integer.  Degree
+        k of q is c0 * (self_k - sum(other_i * q_(k-i), i >= 1)): the degree-k
+        product part with q built only to degree k - 1 leaves out i = 0."""
+        other = self._coerce(other)
+        c0 = other._constant_term()
         if c0 not in (1, -1):
-            raise ValuationError(f"cannot invert a series with constant term {c0}")
-        out = [self._scalar_part(c0)]
-        for k in range(1, self.order + 1):
-            out.append(self._scale_part(self._product_part(self.parts, out, k), -c0))
-        return type(self)(out, self.order)
+            raise ValuationError(f"cannot divide by a series with constant term {c0}")
+        q: list = []
+        for part in self.parts:
+            rest = self._product_part(other.parts, q, len(q))
+            q.append(self._sum_part(self._scale_part(part, c0), self._scale_part(rest, -c0)))
+        return type(self)(q, self.order)
+
+    def inverse(self):
+        """Multiplicative inverse: the constant series 1 divided by self."""
+        return self.constant(1, self.order) / self
 
     def __eq__(self, other):
         return type(other) is type(self) and self.order == other.order \
@@ -184,8 +190,8 @@ class USeries(_Series):
 
     @staticmethod
     def _product_part(a: list, b: list, k: int):
-        return sum(a[i] * b[k - i]
-                   for i in range(max(0, k + 1 - len(b)), min(k, len(a) - 1) + 1))
+        lo, hi = max(0, k + 1 - len(b)), min(k, len(a) - 1)
+        return sum(map(mul, a[lo:hi + 1], reversed(b[k - hi:k + 1 - lo])))
 
     def _product(self, other) -> list:
         """The whole product at once, skipping zero coefficients.  It serves
@@ -281,20 +287,15 @@ def _rational_at(param: USeries, num: list, den: list, shift: int) -> USeries:
 
     param**k has valuation k, so only the powers k <= N - shift reach the
     result.  One walk forms each power from the last, from degree k on, and
-    adds it into num(param) and den(param); the quotient then follows by the
-    triangular recurrence, which needs den[0] = +-1 (as :meth:`_Series.inverse`
-    does) and keeps every coefficient an integer."""
-    c0 = den[0]
-    if c0 not in (1, -1):
-        raise ValuationError(f"cannot divide by a polynomial with constant term {c0}")
-    n = param.order - shift
-    if n < 0:
-        return USeries([], param.order)
+    adds it into num(param) and den(param), both to order max(N - shift, 0);
+    their quotient by ``/`` (which needs den[0] = +-1, even when the shift
+    passes N) is then shifted up by z**shift."""
+    n = max(param.order - shift, 0)
     top = min(max(len(num), len(den)) - 1, n)
     num = num + [0] * (top + 1 - len(num))
     den = den + [0] * (top + 1 - len(den))
     a = [num[0]] + [0] * n
-    b = [c0] + [0] * n
+    b = [den[0]] + [0] * n
     power = [1] + [0] * n
     back = param.parts[n:0:-1]           # back[n - m] = param[m], m = 1..n
     for k in range(1, top + 1):
@@ -306,10 +307,7 @@ def _rational_at(param: USeries, num: list, den: list, shift: int) -> USeries:
             a[k:] = [v + num[k] * w for v, w in zip(a[k:], power[k:])]
         if den[k]:
             b[k:] = [v + den[k] * w for v, w in zip(b[k:], power[k:])]
-    q: list = []
-    for j in range(n + 1):
-        q.append(c0 * (a[j] - sum(map(mul, b[1:j + 1], reversed(q)))))
-    return USeries([0] * shift + q, param.order)
+    return USeries([0] * shift + (USeries(a, n) / USeries(b, n)).parts, param.order)
 
 
 def _tau_form(g: int) -> tuple[list, list, int]:
@@ -611,9 +609,11 @@ def hg_trivariate(g: int, order: int) -> TSeries:
     (:func:`_elementary_form`).  As p*q*r = x*y*u / D, the series is
     X3 * X / D, with X3 = x*y*u and D as in :func:`_elementary_of_symmetric`.
     It is formed as a weight-graded series in X1, X2, X3, with E1, E2, E3
-    solved to weight max(N - 3, 1), and then expanded to x, y, u monomials
-    (:func:`_expand_symmetric`).  A weight-graded series stays internal:
-    :meth:`TSeries.coefficient` and :attr:`TSeries.d` read x, y, u exponents.
+    solved to weight max(N - 3, 1) and X / D as one series division (the
+    numerator of X by D times the denominator of X), then expanded to x, y, u
+    monomials (:func:`_expand_symmetric`).  A weight-graded series stays
+    internal: :meth:`TSeries.coefficient` and :attr:`TSeries.d` read x, y, u
+    exponents.
 
     The genus-0 series carries no constant term: the count starts at the
     one-dart hypermap, the empty hypermap is not included."""
@@ -632,7 +632,7 @@ def hg_trivariate(g: int, order: int) -> TSeries:
         else:
             num = num * _evaluate(_elementary_form(PLANAR_BRACKET_POLY), e1, e2, e3)
             den = den * bracket ** 7
-    quotient = (num * den.inverse()).parts
+    quotient = (num / den).parts
     shifted = [{}, {}, {}] + [{(a, b, c + 1): v for (a, b, c), v in part.items()}
                               for part in quotient]
     out = _expand_symmetric(TSeries(shifted[:order + 1], order))

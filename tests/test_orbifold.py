@@ -43,6 +43,18 @@ def test_signature_validation_and_derived_fields():
         OrbifoldSignature(4, 0, (4,))    # orbit length must be proper
 
 
+@pytest.mark.parametrize("period,quotient_genus", [(0, 0), (-1, 1), (2, -1)])
+def test_signature_rejects_bad_period_or_quotient_genus(period, quotient_genus):
+    with pytest.raises(ValueError):
+        OrbifoldSignature(period, quotient_genus, ())
+
+
+@pytest.mark.parametrize("G,L", [(1, 0), (1, -1), (-1, 1), (-1, 2)])
+def test_admissible_signatures_rejects_bad_bounds(G, L):
+    with pytest.raises(ValueError):
+        admissible_signatures(G, L)
+
+
 def test_every_admissible_signature_covers_its_genus():
     for G in range(0, 4):
         for L in range(1, 13):

@@ -114,6 +114,39 @@ def test_rational_at_guards():
     assert _rational_at(tau, [1, 1], [1, -1], 6) == USeries([0] * 6 + [1], 6)
     # a constant term of -1 divides as well: tau / (tau - 1) = -tau / (1 - tau)
     assert _rational_at(tau, [0, 1], [-1, 1], 0) == -1 * tau * (1 - tau).inverse()
+    # the divisor is checked even when the shift passes the order
+    with pytest.raises(ValuationError):
+        _rational_at(tau, [1], [2, 1], 7)
+
+
+def _check_division(num, den, sign):
+    assert den._constant_term() == sign
+    quotient = num / den
+    assert quotient == num * den.inverse()
+    assert quotient * den == num
+    assert den / den == type(den).constant(1, den.order)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_useries_division_inverts_multiplication(sign):
+    tau = tau_of_z(20)
+    den = sign * (1 - tau) ** 5 * (1 - 4 * tau) ** 7     # the genus-2 denominator
+    _check_division(tau ** 3 * (1 - 3 * tau), den, sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_tseries_division_inverts_multiplication(sign):
+    p, q, r = pqr_of_xyu(8)
+    den = sign * ((1 - p - q - r) ** 2 - 4 * (p * q * r)) ** 7   # the genus-2 bracket
+    _check_division(p * q * r * (1 - p + q * r), den, sign)
+
+
+@pytest.mark.parametrize("den", [
+    USeries([0, 1], 3), USeries([2, 1], 3),
+    TSeries.variable("x", 3), 2 + TSeries.variable("x", 3)])
+def test_division_needs_a_unit_constant_term(den):
+    with pytest.raises(ValuationError):
+        type(den).constant(1, 3) / den
 
 
 def test_tseries_guards():
@@ -128,7 +161,7 @@ def test_tseries_guards():
     assert bracket * bracket.inverse() == TSeries.constant(1, 8)
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
 def test_series_kinds_do_not_mix(op):
     u, t = USeries.identity(3), TSeries.variable("x", 3)
     for a, b in ((u, t), (t, u)):
