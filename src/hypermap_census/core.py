@@ -12,7 +12,9 @@ A :class:`CountTable` holds the strictly positive counts of one genus keyed
 by ``(g, t, v, e)``; the face count is always derived from the genus relation
 and never stored.  A table is built whole from a finished dict and checks
 every row once, so an inconsistent key or a row of another genus or dart
-range cannot be represented.
+range cannot be represented.  Reading a table at another genus or outside
+its dart range raises :class:`NotFilledError` rather than answering 0, and
+two tables are equal when their genus, dart range and rows are.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ class CountTable:
     :func:`validate_hypermap_key` accepts, that is g >= 0, v >= 1, e >= 0 and
     f = t + 2 - 2g - v - e >= 1 (tested inline, on integers, for speed);
     a negative count is a :class:`NegativeCoefficientError`, any other bad
-    row a :class:`CensusError`.  :meth:`count` returns 0 for absent keys.
+    row a :class:`CensusError`.  :meth:`count` and :meth:`total` raise
+    :class:`NotFilledError` when g is not the table's genus or t is outside
+    1..max_darts; inside that range an absent key reads 0.  Tables are equal
+    when their genus, max_darts and rows are; the engine name is left out.
     """
 
     def __init__(self, engine: str, genus: int, max_darts: int, counts: dict):
@@ -95,14 +100,21 @@ class CountTable:
         self.max_darts = max_darts
         self._data = dict(counts)
 
+    def _check_range(self, g: int, t: int) -> None:
+        if g != self.genus or not 1 <= t <= self.max_darts:
+            raise NotFilledError(f"(g={g}, d={t}) outside table range "
+                                 f"(genus={self.genus}, max_darts={self.max_darts})")
+
     def count(self, g: int, t: int, v: int, e: int, f: int | None = None) -> int:
         """Count at a key; 0 when absent or when f contradicts the genus relation."""
+        self._check_range(g, t)
         if f is not None and f != faces_from_key(g, t, v, e):
             return 0
         return self._data.get((g, t, v, e), 0)
 
     def total(self, g: int, t: int) -> int:
-        return sum(c for (gg, tt, _, _), c in self._data.items() if gg == g and tt == t)
+        self._check_range(g, t)
+        return sum(c for (_, tt, _, _), c in self._data.items() if tt == t)
 
     def items(self):
         return self._data.items()
@@ -113,4 +125,5 @@ class CountTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
-        return self._data == other._data
+        return (self.genus, self.max_darts, self._data) == \
+            (other.genus, other.max_darts, other._data)

@@ -3,9 +3,11 @@
 Two kinds of truncated series with exact integer coefficients share one
 arithmetic.  A base class stores a series by degree (``parts[k]`` is its
 degree-k part) and defines, once, the coercion of numbers to constant series,
-``+``, ``-``, ``*``, ``**``, ``/`` and ``==``; each kind
-supplies only the kernels that add, scale and multiply its parts, and its own
-accessors.  The two kinds never mix: combining them is a TypeError.
+``+``, ``-``, ``*``, ``**``, ``/`` and ``==``; each kind supplies only the
+kernels that add, scale and multiply its parts, and its own accessors.  Each
+kind has one product kernel, the degree-k part of a product, on which ``*``,
+``**`` and ``/`` all run.  The two kinds never mix: combining them is a
+TypeError.
 
 * :class:`USeries` - univariate, truncated at a fixed order N, for the
   dart-count series H_g(z) of genus g <= 6.  These are given in closed form
@@ -14,8 +16,9 @@ accessors.  The two kinds never mix: combining them is a TypeError.
   degree at a time, to the order asked for (correctness of the defining
   relation is asserted).  Each closed form is data: integer polynomials A, B
   and a shift s with H_g = z**s * A(param) / B(param), built per genus from
-  the embedded numerators and binomial expansions of the denominator factors
-  (the table is in :func:`hg_univariate` and :func:`hg_via_t`).  One walk
+  the embedded numerators and binomial expansions of the denominator factors,
+  whose exponents 4g - 3 and 5g - 3 are one formula for every g >= 1 (the
+  table is in :func:`hg_univariate` and :func:`hg_via_t`).  One walk
   over the powers of the parameter evaluates A and B together, and one
   series division gives the quotient (:func:`_rational_at`).  The two
   routes share no coefficient data and must agree coefficientwise.
@@ -25,12 +28,13 @@ accessors.  The two kinds never mix: combining them is a TypeError.
   solve x = p*(1-q-r), u = q*(1-p-r), y = r*(1-p-q), whose product gives
   p*q*r = x*y*u / D with D = (1-q-r)(1-p-r)(1-p-q).  Every closed form is
   p*q*r times a cofactor X, rational in p, q, r with the square-bracket
-  kernel (1-p-q-r)**2 - 4*p*q*r above genus 0, so H_g = x*y*u * X / D.
-  X and D are symmetric in p, q, r and H_g in x, y, u, so H_g is built in
-  the symmetric coordinates X1 = x+y+u, X2 = xy+yu+ux, X3 = xyu: the same
-  class holds a series in X1, X2, X3 graded by weight a + 2b + 3c of
-  X1**a X2**b X3**c, with E1 = p+q+r, E2 = pq+qr+rp, E3 = pqr solved in it,
-  and only the finished series is expanded to x, y, u monomials.
+  kernel B = (1-p-q-r)**2 - 4*p*q*r to the power 5g - 3 above genus 0, so
+  H_g = x*y*u * X / D.  X and D are symmetric in p, q, r and H_g in x, y, u,
+  so H_g is built in the symmetric coordinates X1 = x+y+u, X2 = xy+yu+ux,
+  X3 = xyu: the same class holds a series in X1, X2, X3 graded by weight
+  a + 2b + 3c of X1**a X2**b X3**c, with E1 = p+q+r, E2 = pq+qr+rp,
+  E3 = pqr solved in it, and only the finished series is expanded to x, y, u
+  monomials.
 
 Every denominator the closed forms divide by has constant term 1, so the
 quotients are integral and no rational arithmetic is needed: ``/``, the one
@@ -118,14 +122,12 @@ class _Series:
 
     def __mul__(self, other):
         if isinstance(other, _Series):
-            return type(self)(self._product(self._coerce(other)), self.order)
+            a, b = self.parts, self._coerce(other).parts
+            return type(self)([self._product_part(a, b, k) for k in range(self.order + 1)],
+                              self.order)
         return type(self)([self._scale_part(a, other) for a in self.parts], self.order)
 
     __rmul__ = __mul__
-
-    def _product(self, other) -> list:
-        """The parts of self * other, for a series ``other`` of the same kind and order."""
-        return [self._product_part(self.parts, other.parts, k) for k in range(self.order + 1)]
 
     def __pow__(self, k: int):
         """self**k by repeated squaring."""
@@ -167,7 +169,9 @@ class _Series:
 # ---------------------------------------------------------------------------
 
 class USeries(_Series):
-    """Truncated power series sum(parts[k] * z**k, k = 0..order)."""
+    """Truncated power series sum(parts[k] * z**k, k = 0..order); its one
+    product kernel, :meth:`_product_part`, serves ``*``, ``**``, ``/`` and
+    :func:`_poly_product`."""
 
     __slots__ = ()
 
@@ -193,30 +197,14 @@ class USeries(_Series):
         lo, hi = max(0, k + 1 - len(b)), min(k, len(a) - 1)
         return sum(map(mul, a[lo:hi + 1], reversed(b[k - hi:k + 1 - lo])))
 
-    def _product(self, other) -> list:
-        """The whole product at once, skipping zero coefficients.  It serves
-        the defining-relation checks of :func:`tau_of_z` and :func:`t_of_z`
-        and ``**``; over those checks it is about 1.6x faster than the
-        per-degree product at order 30 and 1.1x at order 60 (best of 40 on a
-        2-vCPU Xeon, CPython 3.11.7)."""
-        n = self.order
-        out = [0] * (n + 1)
-        b = other.parts
-        for i, a in enumerate(self.parts):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                if b[j] != 0:
-                    out[i + j] += a * b[j]
-        return out
-
     def _constant_term(self):
         return self.parts[0]
 
     def coefficient(self, k: int):
+        """Coefficient of z**k; 0 for k < 0 (no terms of negative degree)."""
         if k > self.order:
             raise IndexError(f"order {k} beyond truncation {self.order}")
-        return self.parts[k]
+        return self.parts[k] if k >= 0 else 0
 
     def valuation(self) -> int:
         for i, a in enumerate(self.parts):
@@ -273,11 +261,7 @@ def _binomial(a: int, n: int) -> list[int]:
 
 def _poly_product(a: list, b: list) -> list:
     """Ascending coefficients of the product of two integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    return [USeries._product_part(a, b, k) for k in range(len(a) + len(b) - 1)]
 
 
 def _rational_at(param: USeries, num: list, den: list, shift: int) -> USeries:
@@ -314,20 +298,17 @@ def _tau_form(g: int) -> tuple[list, list, int]:
     """(A, B, s) with H_g = z**s * A(tau) / B(tau)."""
     if g == 0:
         return [0, 1, -3], _binomial(-2, 2), 0
-    if g == 1:
-        return [0, 0, 0, 1], _poly_product(_binomial(-1, 1), _binomial(-4, 2)), 0
-    return ([0, 0, 0] + [4 * c for c in GENUS_NUMERATOR_TAU[g]],
-            _poly_product(_binomial(-1, 4 * g - 3), _binomial(-4, 5 * g - 3)), 2 * g - 2)
+    num = [0, 0, 0, 1] if g == 1 else [0, 0, 0] + [4 * c for c in GENUS_NUMERATOR_TAU[g]]
+    return num, _poly_product(_binomial(-1, 4 * g - 3), _binomial(-4, 5 * g - 3)), 2 * g - 2
 
 
 def _t_form(g: int) -> tuple[list, list, int]:
     """(A, B, s) with H_g = z**s * A(t) / B(t); s is always 0."""
     if g == 0:
         return [0, 1, -1], [1], 0
-    if g == 1:
-        return [0, 0, 0, 1], _poly_product(_binomial(1, 1), _binomial(-2, 2)), 0
-    return ([0] * (2 * g + 1) + _poly_product([4, 8], GENUS_NUMERATOR_T[g]),
-            _poly_product(_binomial(1, 4 * g - 3), _binomial(-2, 5 * g - 3)), 0)
+    num = [0, 0, 0, 1] if g == 1 else \
+        [0] * (2 * g + 1) + _poly_product([4, 8], GENUS_NUMERATOR_T[g])
+    return num, _poly_product(_binomial(1, 4 * g - 3), _binomial(-2, 5 * g - 3)), 0
 
 
 def hg_univariate(g: int, order: int) -> USeries:
@@ -335,11 +316,11 @@ def hg_univariate(g: int, order: int) -> USeries:
     darts), as z**s * A(tau) / B(tau) with z = tau*(1 - 2*tau):
 
         g = 0:       s = 0,       A = tau*(1 - 3*tau),        B = (1 - 2*tau)**2
-        g = 1:       s = 0,       A = tau**3,                 B = (1 - tau)*(1 - 4*tau)**2
-        g = 2..6:    s = 2g - 2,  A = 4*tau**3 * N_g(tau),
+        g = 1..6:    s = 2g - 2,  A = 4*tau**3 * N_g(tau),
                                   B = (1 - tau)**(4g-3) * (1 - 4*tau)**(5g-3)
 
-    with N_g = ``GENUS_NUMERATOR_TAU[g]`` (:func:`_rational_at`)."""
+    with N_g = ``GENUS_NUMERATOR_TAU[g]`` for g >= 2 and A = tau**3 at g = 1
+    (:func:`_rational_at`)."""
     if not 0 <= g <= MAX_UNIVARIATE_GENUS:
         raise ValueError(f"no closed univariate form for genus {g}")
     out = _rational_at(tau_of_z(order), *_tau_form(g))
@@ -352,11 +333,11 @@ def hg_via_t(g: int, order: int) -> USeries:
     with z = t/(1 + 2*t)**2, as A(t) / B(t):
 
         g = 0:       A = t*(1 - t),                          B = 1
-        g = 1:       A = t**3,                               B = (1 + t)*(1 - 2*t)**2
-        g = 2..6:    A = 4*t**(2g+1) * (1 + 2*t) * M_g(t),
+        g = 1..6:    A = 4*t**(2g+1) * (1 + 2*t) * M_g(t),
                      B = (1 + t)**(4g-3) * (1 - 2*t)**(5g-3)
 
-    with M_g = ``GENUS_NUMERATOR_T[g]``; no data is shared with the tau route."""
+    with M_g = ``GENUS_NUMERATOR_T[g]`` for g >= 2 and A = t**3 at g = 1; no
+    data is shared with the tau route."""
     if not 0 <= g <= MAX_UNIVARIATE_GENUS:
         raise ValueError(f"no closed univariate form for genus {g}")
     out = _rational_at(t_of_z(order), *_t_form(g))
@@ -601,12 +582,11 @@ def hg_trivariate(g: int, order: int) -> TSeries:
     a polynomial or rational function in E1 = p+q+r, E2 = pq+qr+rp, E3 = pqr:
 
         g = 0:  X = 1 - E1
-        g = 1:  X = (1 - E1 + E2 - E3) / B**2
-        g = 2:  X = (1 - E1 + E2 - E3) * P / B**7
+        g = 1, 2:  X = (1 - E1 + E2 - E3) * P_g / B**(5g-3)
 
-    with the square-bracket kernel B = (1-E1)**2 - 4*E3 and P the genus-2
-    numerator ``PLANAR_BRACKET_POLY`` reduced to E1, E2, E3 at each call
-    (:func:`_elementary_form`).  As p*q*r = x*y*u / D, the series is
+    with the square-bracket kernel B = (1-E1)**2 - 4*E3, P_1 = 1 and P_2 the
+    genus-2 numerator ``PLANAR_BRACKET_POLY`` reduced to E1, E2, E3 at each
+    call (:func:`_elementary_form`).  As p*q*r = x*y*u / D, the series is
     X3 * X / D, with X3 = x*y*u and D as in :func:`_elementary_of_symmetric`.
     It is formed as a weight-graded series in X1, X2, X3, with E1, E2, E3
     solved to weight max(N - 3, 1) and X / D as one series division (the
@@ -622,16 +602,14 @@ def hg_trivariate(g: int, order: int) -> TSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     e1, e2, e3 = _elementary_of_symmetric(max(order - 3, 1))
+    square = (1 - e1) ** 2
     num = 1 - e1
-    den = (1 - e1) ** 2 + (1 - e1) * e2 + e3
+    den = square + (1 - e1) * e2 + e3
     if g > 0:
-        bracket = (1 - e1) ** 2 - 4 * e3
         num = 1 - e1 + e2 - e3
-        if g == 1:
-            den = den * bracket ** 2
-        else:
+        if g == 2:
             num = num * _evaluate(_elementary_form(PLANAR_BRACKET_POLY), e1, e2, e3)
-            den = den * bracket ** 7
+        den = den * (square - 4 * e3) ** (5 * g - 3)
     quotient = (num / den).parts
     shifted = [{}, {}, {}] + [{(a, b, c + 1): v for (a, b, c), v in part.items()}
                               for part in quotient]

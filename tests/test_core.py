@@ -4,6 +4,8 @@ from hypermap_census import (
     CensusError,
     CountTable,
     NegativeCoefficientError,
+    NotFilledError,
+    RootedCensus,
     faces_from_key,
     validate_hypermap_key,
     validate_map_key,
@@ -66,6 +68,32 @@ def test_count_table_equality_ignores_dict_order():
     assert table == CountTable("kz", 0, 4, dict(reversed(rows)))
     assert table != CountTable("kz", 0, 4, dict(rows[:2]))
     assert table != CountTable("kz", 0, 4, {**dict(rows), (0, 3, 1, 1): 4})
+
+
+def test_count_table_equality_compares_the_range_not_the_engine():
+    assert CountTable("kz", 3, 5, {}) != CountTable("kz", 3, 6, {})
+    assert CountTable("kz", 3, 5, {}) != CountTable("kz", 2, 5, {})
+    census = RootedCensus(3, 6)
+    assert census.table(3, max_darts=5) != census.table(3, max_darts=6)
+    assert census.table(1, max_darts=5) != census.table(1, max_darts=6)
+    rows = {(0, 3, 1, 1): 3}
+    assert CountTable("kz", 0, 4, rows) == CountTable("seq", 0, 4, rows)
+
+
+def test_count_table_reads_outside_its_range_raise():
+    census = RootedCensus(3, 8)
+    table = census.table(1, max_darts=5)
+    assert census.total(1, 8) == 131307
+    for g, t in ((1, 8), (1, 6), (1, 0), (0, 3), (2, 3)):
+        with pytest.raises(NotFilledError):
+            table.total(g, t)
+        with pytest.raises(NotFilledError):
+            table.count(g, t, 1, 1)
+    with pytest.raises(NotFilledError):
+        census.table(1).count(0, 3, 1, 1)
+    # inside the range an absent key still reads 0
+    assert table.count(1, 5, 9, 9) == 0
+    assert table.total(1, 1) == 0 and table.total(1, 3) == census.total(1, 3) > 0
 
 
 @pytest.mark.parametrize("key,count,error", [

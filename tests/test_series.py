@@ -25,6 +25,7 @@ from hypermap_census.series import (
     _expand_symmetric,
     _rational_at,
 )
+from hypermap_census.series import _poly_product as poly_product
 from hypermap_census.series_data import (
     GENUS_NUMERATOR_T,
     GENUS_NUMERATOR_TAU,
@@ -103,6 +104,37 @@ def test_useries_guards():
         USeries([1], 3) * USeries([1], 4)
     with pytest.raises(ValueError):
         hg_univariate(7, 10)
+
+
+def test_useries_coefficient_of_negative_degree_is_zero():
+    h = hg_univariate(0, 5)
+    assert [h.coefficient(k) for k in (-6, -2, -1)] == [0, 0, 0]
+    assert h.coefficient(5) == h.parts[5] != 0
+    with pytest.raises(IndexError):
+        h.coefficient(6)
+
+
+def schoolbook(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_products_match_the_schoolbook_product():
+    """``_poly_product``, USeries ``*`` and ``**`` all run on the one
+    per-degree kernel; lists of unequal lengths reach its edge slices, where
+    the degree is past the end of one list."""
+    lists = [[3], [-2, 1], [0, 5, 0, -1], [1, -4, 2, 0, 7, -3]]
+    for a in lists:
+        cube = schoolbook(schoolbook(a, a), a)
+        for b in lists:
+            assert poly_product(a, b) == schoolbook(a, b), (a, b)
+            for n in range(9):
+                assert USeries(a, n) * USeries(b, n) == USeries(schoolbook(a, b), n), (a, b, n)
+        for n in range(9):
+            assert USeries(a, n) ** 3 == USeries(cube, n), (a, n)
 
 
 def test_rational_at_guards():
