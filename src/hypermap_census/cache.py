@@ -11,17 +11,20 @@ Format: a line-oriented text file, chosen over binary for diff-ability.
 Counts are decimal big integers.  The trailer holds the number of rows and
 the CRC-32 of their text, so a truncated, edited or half-written file is
 recognised, as is a file whose header names another table than its file name
-or which holds a row :class:`CountTable` refuses (another genus, past the
-header's dart count, an invalid key or a count below 1): :func:`load_cached`
-then serves nothing and says so in one line on stderr, and the caller
-recomputes the table and overwrites the file.  Writes are atomic
-(temp file in the same directory, then rename).  The cache directory is
-``$HYPERMAP_CACHE_DIR`` if set, else ``~/.cache/hypermap-census``.
+or a table :class:`CountTable` refuses (genus below 0, fewer than 1 dart), or
+which holds a header or row not written exactly as :func:`save_table` writes
+it (such as ``1_0`` or ``+1``) or a row :class:`CountTable` refuses (another
+genus, past the header's dart count, an invalid key or a count below 1):
+:func:`load_cached` then serves nothing and says so in one line on stderr,
+and the caller recomputes the table and overwrites the file.  Writes are
+atomic (temp file in the same directory, then rename).  The cache directory
+is ``$HYPERMAP_CACHE_DIR`` if set, else ``~/.cache/hypermap-census``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 import zlib
 from pathlib import Path
@@ -30,6 +33,8 @@ from .core import CensusError, CountTable
 
 FORMAT_VERSION = 2
 _MAGIC = f"# hypermap-census cache v{FORMAT_VERSION}"
+# rows exactly as save_table writes them: five decimals without sign or leading zero
+_ROWS = re.compile(r"(?:(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*)){4}\n)*")
 
 
 def cache_dir() -> Path:
@@ -41,6 +46,10 @@ def cache_dir() -> Path:
 
 def table_path(engine: str, genus: int, max_darts: int) -> Path:
     return cache_dir() / f"{engine}-g{genus}-d{max_darts}.counts"
+
+
+def _meta(table: CountTable) -> str:
+    return f"# engine={table.engine} genus={table.genus} max-darts={table.max_darts}"
 
 
 def _trailer(body: str, rows: int) -> str:
@@ -60,8 +69,7 @@ def save_table(table: CountTable, genus: int, path: Path | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     body = "".join(f"{g} {t} {v} {e} {count}\n"
                    for (g, t, v, e), count in sorted(table.items()))
-    text = (f"{_MAGIC}\n# engine={table.engine} genus={genus} "
-            f"max-darts={table.max_darts}\n{body}{_trailer(body, len(table))}\n")
+    text = f"{_MAGIC}\n{_meta(table)}\n{body}{_trailer(body, len(table))}\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -93,19 +101,22 @@ def _parse(text: str) -> CountTable:
     if header is None or lines[-1]:
         raise ValueError(f"not a v{FORMAT_VERSION} cache file")
     rows = lines[2:-2]
-    if lines[-2] != _trailer("".join(row + "\n" for row in rows), len(rows)):
+    body = "".join(row + "\n" for row in rows)
+    if lines[-2] != _trailer(body, len(rows)):
         raise ValueError("row count or checksum does not match the trailer")
-    counts = {}
-    for row in rows:
-        fields = row.split(" ")
-        if len(fields) != 5:
-            raise ValueError(f"malformed row {row!r}")
-        g, t, v, e, count = map(int, fields)
-        if (g, t, v, e) in counts:
-            raise ValueError(f"repeated row {row!r}")
-        counts[g, t, v, e] = count
-    return CountTable(header["engine"], int(header["genus"]),
-                      int(header["max-darts"]), counts)
+    good = _ROWS.match(body).end()
+    if good < len(body):
+        bad = body[good:].split("\n", 1)[0]
+        raise ValueError(f"malformed row {bad!r}")
+    nums = map(int, body.split())
+    counts = {(g, t, v, e): c for g, t, v, e, c in zip(nums, nums, nums, nums, nums)}
+    if len(counts) < len(rows):
+        raise ValueError(f"{len(rows) - len(counts)} repeated row(s)")
+    table = CountTable(header["engine"], int(header["genus"]),
+                       int(header["max-darts"]), counts)
+    if lines[1] != _meta(table):
+        raise ValueError(f"malformed header {lines[1]!r}")
+    return table
 
 
 def _read(path: Path) -> CountTable:

@@ -358,10 +358,11 @@ def _cmd_crosscheck(args, parser) -> int:
     max_g, max_d = args.max_genus, args.max_darts
     _check_bounds(parser, max_g, max_d, None)
     seq_g, seq_d = min(max_g, SEQ_GENUS_CAP), min(max_d, SEQ_DART_CAP)
-    if seq_d < max_d:
-        print(f"note: seq engine capped at {seq_d} darts (requested {max_d})")
-    if seq_g < max_g:
-        print(f"note: seq engine capped at genus {seq_g} (requested {max_g})")
+    if not args.only or {"seq", "multiroot"} & set(args.only):
+        if seq_d < max_d:
+            print(f"note: seq engine capped at {seq_d} darts (requested {max_d})")
+        if seq_g < max_g:
+            print(f"note: seq engine capped at genus {seq_g} (requested {max_g})")
 
     rooted = RootedCensus(max(max_g, MAX_UNIVARIATE_GENUS), max(max_d, 2))
     seq = SequencedCensus()

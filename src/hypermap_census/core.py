@@ -72,19 +72,23 @@ class CountTable:
     of the engine that computed them.
 
     Immutable: built whole from a finished ``{(g, t, v, e): count}`` dict.
-    The constructor checks every row once: its count is positive, g is the
-    table's genus, 1 <= t <= max_darts and the key is one
+    The constructor checks every row once: its count is a positive ``int``,
+    g is the table's genus, 1 <= t <= max_darts and the key is one
     :func:`validate_hypermap_key` accepts, that is g >= 0, v >= 1, e >= 0 and
     f = t + 2 - 2g - v - e >= 1 (tested inline, on integers, for speed);
     a negative count is a :class:`NegativeCoefficientError`, any other bad
-    row a :class:`CensusError`.  :meth:`count` and :meth:`total` raise
-    :class:`NotFilledError` when g is not the table's genus or t is outside
-    1..max_darts; inside that range an absent key reads 0.  Tables are equal
-    when their genus, max_darts and rows are; the engine name is left out.
+    row a :class:`CensusError`.  A genus below 0 or a max_darts below 1 is a
+    :class:`CensusError` too, with or without rows.  :meth:`count` and
+    :meth:`total` raise :class:`NotFilledError` when g is not the table's
+    genus or t is outside 1..max_darts; inside that range an absent key reads
+    0.  Tables are equal when their genus, max_darts and rows are; the engine
+    name is left out.
     """
 
     def __init__(self, engine: str, genus: int, max_darts: int, counts: dict):
         for (g, t, v, e), c in counts.items():
+            if type(c) is not int:
+                raise CensusError(f"count {c!r} at {(g, t, v, e)} is not an integer")
             if c < 1:
                 if c < 0:
                     raise NegativeCoefficientError(f"count {c} at {(g, t, v, e)}")
@@ -95,6 +99,8 @@ class CountTable:
             # validate_hypermap_key at t >= 1, with f from the genus relation
             if g < 0 or v < 1 or e < 0 or t + 2 - 2 * g - v - e < 1:
                 raise CensusError(f"invalid key (g={g}, t={t}, v={v}, e={e})")
+        if genus < 0 or max_darts < 1:
+            raise CensusError(f"no table of genus {genus} with 1 to {max_darts} darts")
         self.engine = engine
         self.genus = genus
         self.max_darts = max_darts

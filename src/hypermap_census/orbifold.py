@@ -18,13 +18,18 @@ fundamental group onto the cyclic group Z_L that map each branch generator to
 an element of exact order L/orbit_length (:func:`epi0`).
 
 The accumulation then runs over quotient data.  A quotient with w vertices,
-b hyperedges, f faces and d darts lifts to E = L*d darts; choosing which
-quotient cells carry the branch points of each orbit length contributes a
-product of three multinomial coefficients, and the lifted cell counts are
-W = sum(i * w_i) over orbit lengths i (with unbranched cells counting at
-length L), likewise B and F.  Summing
+b hyperedges, f faces and d darts lifts to E = L*d darts.  A split puts w_i
+of the branch points of orbit length i on vertices, sw = sum(w_i) in all,
+and likewise b_i and f_i.  Choosing the sw vertices that carry branch points
+gives a binomial C(w, sw), and handing them their orbit lengths gives the
+constant sw! / prod(w_i!), so the weight of the split is
 
-    epi0(signature) * multinomials * rooted_count(g, d, w, b, f)
+    C(w, sw) * C(b, sb) * C(f, sf) * sw! sb! sf! / prod(w_i! b_i! f_i!)
+
+and its lifted cell counts are W = sum(i * w_i) over orbit lengths i (with
+unbranched cells counting at length L), likewise B and F.  Summing
+
+    epi0(signature) * weight * rooted_count(g, d, w, b, f)
 
 over everything and dividing by E - exactly, and by E rather than 2E because
 a hypermap root is a dart, not a dart-or-reversal - gives the sensed census.
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from .core import CountTable, InexactDivisionError, NotFilledError
 from .rooted import RootedCensus
@@ -206,46 +211,25 @@ def _zero_sum_tuples(l: int, orders: tuple[int, ...]) -> int:
     return vec[0]
 
 
-def _multinomials(parts: tuple[int, ...], top: int) -> list[int]:
-    """[n choose (parts..., rest) for n = 0..top]: the ways to mark, among n
-    quotient cells of one kind, the cells carrying each branch class.  From
-    n = s = sum(parts) on, each entry is the last times n / (n - s)."""
-    s = sum(parts)
-    out = [0] * min(s, top + 1)
-    if s <= top:
-        m = factorial(s)
-        for p in parts:
-            m //= factorial(p)
-        out.append(m)
-        for n in range(s + 1, top + 1):
-            m = m * n // (n - s)
-            out.append(m)
-    return out
-
-
-def _branch_distributions(qs: dict[int, int]):
-    """Split the q_i branch points of each orbit length i among vertex,
-    hyperedge and face cells.  Yields one triple per split: the branch points
-    per cell kind, as three tuples over the orbit lengths (w_i), (b_i),
-    (f_i); their sums (sw, sb, sf); and the lifted cells they make,
-    (Wb, Bb, Fb) = (sum(i * w_i), sum(i * b_i), sum(i * f_i))."""
-    lengths = sorted(qs)
-
-    def rec(idx):
-        if idx == len(lengths):
-            yield ((), (), ()), (0, 0, 0), (0, 0, 0)
-            return
-        i = lengths[idx]
-        q = qs[i]
-        for (ws, bs, fs), (sw, sb, sf), (Wb, Bb, Fb) in rec(idx + 1):
-            for wi in range(q + 1):
-                for bi in range(q - wi + 1):
-                    fi = q - wi - bi
-                    yield ((ws + (wi,), bs + (bi,), fs + (fi,)),
-                           (sw + wi, sb + bi, sf + fi),
-                           (Wb + i * wi, Bb + i * bi, Fb + i * fi))
-
-    return rec(0)
+def _branch_distributions(orbit_lengths: tuple[int, ...]) -> list:
+    """Split the branch points among vertex, hyperedge and face cells.  Branch
+    points of one orbit length are indistinguishable, so the q branch points
+    of each orbit length i split once as q = w_i + b_i + f_i.  One entry per
+    split: the branch points per cell kind, (sw, sb, sf) = (sum(w_i),
+    sum(b_i), sum(f_i)); the lifted cells they make, (Wb, Bb, Fb) =
+    (sum(i * w_i), sum(i * b_i), sum(i * f_i)); and the product of
+    w_i! * b_i! * f_i! over the lengths."""
+    splits = [((0, 0, 0), (0, 0, 0), 1)]
+    for i in sorted(set(orbit_lengths)):
+        q = orbit_lengths.count(i)
+        splits = [((sw + wi, sb + bi, sf + fi),
+                   (Wb + i * wi, Bb + i * bi, Fb + i * fi),
+                   prod * factorial(wi) * factorial(bi) * factorial(fi))
+                  for (sw, sb, sf), (Wb, Bb, Fb), prod in splits
+                  for wi in range(q + 1)
+                  for bi in range(q - wi + 1)
+                  for fi in (q - wi - bi,)]
+    return splits
 
 
 def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
@@ -279,9 +263,11 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     starts at the first d whose F' = 0 range is not empty.  Inside the B'
     loop W' and L*W' + Wb step down, and L*B' + Bb up, rather than being
     recomputed.  Each quotient coefficient is looked up by (f, b) through a
-    lookup bound once per (g, d).  The multinomials for n up to
-    max_darts + 2 are listed once per call for each tuple of branch counts,
-    and the face one is taken once per F'.  Each canonical total is checked
+    lookup bound once per (g, d).  One table of binomials C(n, k), for
+    n <= max_darts + 2 quotient cells and k <= max_darts // 2 + 2 branch
+    points (the most a period L >= 2 admits), is built per call; a split's
+    constant sw! sb! sf! / prod(w_i! b_i! f_i!) joins epi0 once per split,
+    and the face binomial once per F'.  Each canonical total is checked
     for exact division by E; its quotient is then stored at every
     permutation of (W, B, F), and :class:`CountTable` checks each row.
     """
@@ -291,7 +277,8 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
         raise NotFilledError("rooted census does not cover the requested bounds")
     acc: dict[tuple[int, int, int], int] = {}
     quotients: dict[int, list] = {}
-    mults: dict[tuple[int, ...], list[int]] = {}
+    binoms = [[comb(n, k) for n in range(max_darts + 3)]
+              for k in range(max_darts // 2 + 3)]
     for L in range(1, max_darts + 1):
         top = max_darts // L
         for sig in _signatures(G, L, top):
@@ -303,10 +290,7 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                 quotients[g] = [None] + [rooted.poly(g, d).fb_coefficients().get
                                          for d in range(1, top + 1)]
             coeffs = quotients[g]
-            qs: dict[int, int] = {}
-            for l in sig.orbit_lengths:
-                qs[l] = qs.get(l, 0) + 1
-            for parts, (sw, sb, sf), (Wb, Bb, Fb) in _branch_distributions(qs):
+            for (sw, sb, sf), (Wb, Bb, Fb), prod in _branch_distributions(sig.orbit_lengths):
                 c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
                 c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
                 shift = 2 * g - 2 + sw + sb + sf    # d - rest
@@ -318,11 +302,8 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                             shift + b0, shift + 2 * b0 + c_wb)
                 if first > top:
                     continue
-                for k in parts:
-                    if k not in mults:
-                        mults[k] = _multinomials(k, max_darts + 2)
-                kw, kb, kf = parts
-                mw, mb, mf = mults[kw], mults[kb], mults[kf]
+                weight = weight0 * factorial(sw) * factorial(sb) * factorial(sf) // prod
+                mw, mb, mf = binoms[sw], binoms[sb], binoms[sf]
                 for d in range(first, top + 1):
                     coeff = coeffs[d]
                     E = L * d
@@ -335,7 +316,7 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                             hi = R
                         if B1 > hi:
                             break
-                        wf = weight0 * mf[f]
+                        wf = weight * mf[f]
                         w = R - B1 + sw                  # W' + sw
                         W = L * (R - B1) + Wb
                         B = L * B1 + Bb

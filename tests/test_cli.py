@@ -278,6 +278,15 @@ def test_crosscheck_caps_seq_genus(capsys):
     assert "capped at genus 3" in out
 
 
+def test_crosscheck_notes_the_seq_caps_only_when_seq_runs(capsys):
+    argv = ["crosscheck", "--max-genus", "4", "--max-darts", "11"]
+    for only, noted in (("orbifold", False), ("series", False), ("multiroot", True)):
+        assert main(argv + ["--only", only]) == 0
+        out = capsys.readouterr().out
+        assert ("note: seq engine capped at 10 darts (requested 11)" in out) is noted, only
+        assert ("note: seq engine capped at genus 3 (requested 4)" in out) is noted, only
+
+
 def test_cache_info(capsys):
     assert main(["rooted", "--genus", "0", "--max-darts", "3"]) == 0
     capsys.readouterr()

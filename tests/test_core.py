@@ -103,10 +103,20 @@ def test_count_table_reads_outside_its_range_raise():
     ((0, 0, 1, 0), 1, CensusError),    # the empty hypermap: no darts
     ((0, 5, 3, 3), 1, CensusError),    # past max_darts
     ((0, 4, 4, 4), 1, CensusError),    # no face count can satisfy the relation
-], ids=["negative", "zero", "other-genus", "no-darts", "past-max-darts", "invalid-key"])
+    ((0, 4, 2, 2), 1.5, CensusError),
+    ((0, 4, 2, 2), 2.0, CensusError),  # integral, but not an int
+    ((0, 4, 2, 2), True, CensusError),
+], ids=["negative", "zero", "other-genus", "no-darts", "past-max-darts", "invalid-key",
+        "fractional-count", "float-count", "bool-count"])
 def test_count_table_rejects_bad_rows(key, count, error):
     with pytest.raises(error):
         CountTable("kz", 0, 4, {(0, 4, 1, 1): 1, key: count})
+
+
+@pytest.mark.parametrize("genus,max_darts", [(-1, 3), (0, 0), (2, -1)])
+def test_count_table_refuses_a_range_that_cannot_exist(genus, max_darts):
+    with pytest.raises(CensusError):
+        CountTable("kz", genus, max_darts, {})
 
 
 def test_count_table_accepts_exactly_the_valid_keys():

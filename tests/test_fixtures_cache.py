@@ -180,6 +180,16 @@ DAMAGE = {
         lambda lines: _resealed(lines[:2] + ["0" + row[1:] for row in lines[2:-1]] + lines[-1:]),
     "row-past-max-darts-resealed":
         lambda lines: _resealed(lines[:-1] + ["1 7 1 1 5"] + lines[-1:]),
+    # rows int() reads but save_table never writes
+    "underscore-in-count-resealed":
+        lambda lines: _resealed(lines[:-2] + [lines[-2] + "_0"] + lines[-1:]),
+    "plus-sign-resealed":
+        lambda lines: _resealed(lines[:-2] + ["+" + lines[-2]] + lines[-1:]),
+    "non-ascii-digit-resealed":
+        lambda lines: _resealed(lines[:-2] + ["\u0661" + lines[-2][1:]] + lines[-1:]),
+    "plus-sign-in-header": lambda lines: [lines[0], lines[1].replace("=1", "=+1")] + lines[2:],
+    "leading-zero-resealed":
+        lambda lines: _resealed(lines[:-2] + ["01" + lines[-2][1:]] + lines[-1:]),
 }
 
 
@@ -199,6 +209,21 @@ def test_damaged_cache_file_is_recomputed(damage, capsys):
     assert len(err.splitlines()) == 1 and str(path) in err
     assert cache.load_cached("kz", 1, 6) == RootedCensus(1, 6).table(1)   # rewritten
     assert capsys.readouterr().err == ""
+
+
+def test_cache_refuses_intact_files_of_tables_that_cannot_exist(capsys):
+    root = cache.cache_dir()
+    root.mkdir(parents=True)
+    for genus, max_darts in ((-1, 3), (0, 0)):
+        cache.table_path("kz", genus, max_darts).write_text(
+            f"{cache._MAGIC}\n# engine=kz genus={genus} max-darts={max_darts}\n"
+            f"# rows=0 crc32={zlib.crc32(b''):08x}\n")
+        assert cache.load_cached("kz", genus, max_darts) is None
+    assert main(["cache-info"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  kz-g-1-d3.counts: not served, no table of genus -1 with 1 to 3 darts",
+        "  kz-g0-d0.counts: not served, no table of genus 0 with 1 to 0 darts",
+    ]
 
 
 def test_cache_info_reports_files_it_will_not_serve(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -11,7 +12,7 @@ from hypermap_census import (
     faces_from_key,
     sensed_table,
 )
-from hypermap_census.orbifold import _signatures
+from hypermap_census.orbifold import _branch_distributions, _signatures
 from bruteforce import epi_count_by_tuples, signatures_by_search
 
 
@@ -153,3 +154,31 @@ def test_capped_signatures_are_the_admissible_ones_that_fit():
                 assert _signatures(G, L, top) == [
                     sig for sig in uncapped
                     if max(len(sig.orbit_lengths), 3) + 2 * sig.quotient_genus - 2 <= top]
+
+
+def test_sensed_tables_at_every_dart_bound():
+    """A table up to D darts is the 30-dart table's rows with at most D darts,
+    for every D: each D caps the quotients at D // L darts differently."""
+    census = RootedCensus(10, 30)
+    for G in range(11):
+        rows = dict(sensed_table(G, 30, census).items())
+        for D in range(1, 30):
+            table = sensed_table(G, D, census)
+            assert dict(table.items()) == {k: c for k, c in rows.items() if k[1] <= D}, (G, D)
+
+
+@pytest.mark.parametrize("orbit_lengths", [(), (1,), (1, 1), (1, 1, 1, 1), (1, 2, 2),
+                                           (1, 1, 3, 3, 3)])
+def test_branch_points_of_one_length_split_once(orbit_lengths):
+    """Equal orbit lengths are indistinguishable: the q points of one length
+    split among vertices, hyperedges and faces in C(q + 2, 2) ways, each once,
+    and the multinomials q! / (w_i! b_i! f_i!) over all splits add up to the
+    3**Q ways to place Q distinguishable points."""
+    splits = _branch_distributions(orbit_lengths)
+    qs = [orbit_lengths.count(i) for i in set(orbit_lengths)]
+    assert len(splits) == math.prod((q + 1) * (q + 2) // 2 for q in qs)
+    qs_factorial = math.prod(math.factorial(q) for q in qs)
+    assert sum(qs_factorial // prod for _, _, prod in splits) == 3 ** len(orbit_lengths)
+    for (sw, sb, sf), (Wb, Bb, Fb), prod in splits:
+        assert sw + sb + sf == len(orbit_lengths) and Wb + Bb + Fb == sum(orbit_lengths)
+        assert math.factorial(sw) * math.factorial(sb) * math.factorial(sf) % prod == 0
