@@ -34,8 +34,11 @@ contraction) gives the sequenced-map recurrence implemented by
 All counts depend on D only as a multiset, so memo keys sort D; sublist sums
 iterate sub-multisets weighted by the number of sublists realizing each one
 (a product of binomials over repeated values).  A count vanishes unless
-n + sum(D) <= t (n + sum(D) <= 2 * edges for maps), and the split sums' n1
-range is that guard restated for both factors, so no term it skips is nonzero.
+n + sum(D) <= t (n + sum(D) <= 2 * edges for maps) and its cells fit the
+genus: with c = t + 1 - 2g - |D|, a hypermap with t >= 1 darts needs
+e, f >= 1 and e + f <= c, the empty one is (f, e) = (1, 0), and a map needs
+1 <= f <= edges + 1 - 2g - |D|.  The split sums loop over the (n1, f1, e1)
+box these guards allow for both factors, so no term they skip is nonzero.
 """
 
 from __future__ import annotations
@@ -46,7 +49,10 @@ from math import comb, prod
 
 def degree_list(D) -> tuple[int, ...]:
     """Canonical (sorted) form of a distinguished-vertex degree list."""
-    out = tuple(sorted(D))
+    out = tuple(D)
+    if any(type(d) is not int for d in out):
+        raise ValueError(f"degrees must be integers, got {out}")
+    out = tuple(sorted(out))
     if out and out[0] < 1:
         raise ValueError(f"degrees must be >= 1, got {out}")
     return out
@@ -116,11 +122,21 @@ class SequencedCensus:
                 g2 = g - g1
                 for t1 in range(t):
                     t2 = t - 1 - t1
+                    # the cell guard: a factor is zero unless 1 <= f',
+                    # z' <= e' and e' + f' <= c', where z' is 0 for the
+                    # empty hypermap and 1 otherwise; fs and es bound
+                    # (f1, e1) and (f - e1, e - f1) by it
+                    c1, z1 = t1 + 1 - 2 * g1 - len(D1), min(t1, 1)
+                    c2, z2 = t2 + 1 - 2 * g2 - len(D2), min(t2, 1)
+                    fs = range(max(1, e + 1 - c2), min(c1 - z1, e - z2) + 1)
+                    es = range(max(z1, f + z2 - c2), min(c1, f))
+                    if not fs or not es:
+                        continue
                     for n1 in range(max(0, n - 1 - t2 + s2), min(n, t1 - s1 + 1)):
                         n2 = n - 1 - n1
-                        for f1 in range(1, e + 1):
+                        for f1 in fs:
                             e2 = e - f1
-                            for e1 in range(0, f):
+                            for e1 in es:
                                 h1 = H(g1, t1, f1, e1, n1, D1)
                                 if h1:
                                     h2 = H(g2, t2, f - e1, e2, n2, D2)
@@ -181,11 +197,17 @@ class SequencedCensus:
                 g2 = g - g1
                 for t1 in range(t):
                     t2 = t - 1 - t1
+                    c1, z1 = t1 + 1 - 2 * g1 - len(D1), min(t1, 1)
+                    c2, z2 = t2 + 1 - 2 * g2 - len(D2), min(t2, 1)
+                    fs = range(max(1, e + 1 - c2), min(c1 - z1, e - z2) + 1)
+                    es = range(max(z1, f + z2 - c2), min(c1, f))
+                    if not fs or not es:
+                        continue
                     for n1 in range(max(0, n - 1 - t2 + s2), min(n, t1 - s1 + 1)):
                         n2 = n - 1 - n1
-                        for f1 in range(1, e + 1):
+                        for f1 in fs:
                             e2 = e - f1
-                            for e1 in range(0, f):
+                            for e1 in es:
                                 h1 = Hm(g1, t1, f1, e1, (n1,) + D1)
                                 if h1:
                                     h2 = Hm(g2, t2, f - e1, e2, (n2,) + D2)
@@ -231,7 +253,10 @@ class SequencedCensus:
                 g2 = g - g1
                 for e1 in range(e):
                     e2 = e - 1 - e1
-                    for f1 in range(1, f):
+                    # the cell guard: a factor has 1 <= f' <= c'
+                    c1 = e1 + 1 - 2 * g1 - len(D1)
+                    c2 = e2 + 1 - 2 * g2 - len(D2)
+                    for f1 in range(max(1, f - c2), min(f - 1, c1) + 1):
                         f2 = f - f1
                         for n1 in range(max(0, n - 2 - 2 * e2 + s2),
                                         min(n - 1, 2 * e1 - s1 + 1)):

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from hypermap_census import SequencedCensus, degree_list, sub_multisets
-from hypermap_census.cli import CROSSCHECK_DEGREE_LISTS
+from hypermap_census.cli import CROSSCHECK_DEGREE_LISTS, main
 from bruteforce import map_census_by_pairs, hypermap_census_by_pairs, ordered_selections
 
 
@@ -98,11 +100,14 @@ def test_split_range_against_dart_level_enumeration_six_darts(seq):
     _check_hypermaps_against_pairs(seq, 6)
 
 
-def test_degree_list_canonicalizes():
+def test_degree_list_canonicalizes(seq):
     assert degree_list([3, 1, 2]) == (1, 2, 3)
     assert degree_list(()) == ()
-    with pytest.raises(ValueError):
-        degree_list([0])
+    for D in ([0], [1.5], [2.0], [True], [1, "2"]):
+        with pytest.raises(ValueError):
+            degree_list(D)
+    with pytest.raises(ValueError, match="integers"):
+        seq.hypermap(0, 3, 1, 1, 1, (1.5,))
 
 
 def test_counts_ignore_degree_list_order(seq):
@@ -161,6 +166,37 @@ def test_multirooted_direct_equals_product_form(seq):
                                 seq.multirooted(g, t, f, e, n, D)
 
 
+def test_multirooted_direct_against_dart_level_enumeration(seq):
+    """The direct recurrence on its own, not through the product form: a
+    distinguished vertex of degree d chooses one of its d darts.  Every
+    crosscheck degree list, genus <= 2, t <= 5."""
+    for t in range(1, 6):
+        by_cell = {}
+        for (g, v, e, f, n, others), cnt in hypermap_census_by_pairs(t).items():
+            by_cell.setdefault((g, e, f, n), []).append((others, cnt))
+        for g in range(0, 3):
+            for f in range(1, t + 2):
+                for e in range(1, t + 2):
+                    for n in range(0, t + 2):
+                        for D in CROSSCHECK_DEGREE_LISTS:
+                            want = prod(D) * sum(
+                                cnt * ordered_selections(others, D)
+                                for others, cnt in by_cell.get((g, e, f, n), ()))
+                            assert seq.multirooted_direct(g, t, f, e, n, D) == want, \
+                                (g, t, f, e, n, D)
+
+
+@pytest.mark.deep
+def test_crosscheck_seq_and_multiroot_at_the_oracle_genus_cap(capsys):
+    assert main(["crosscheck", "--max-genus", "3",
+                 "--only", "seq", "--only", "multiroot"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "rooted engines agree (kz vs seq): PASS (416 comparisons)",
+        "multirooted relation (direct vs product): PASS (32032 comparisons)",
+        "crosscheck: all checks passed",
+    ]
+
+
 # -- sequenced ordinary maps --------------------------------------------------
 
 def test_map_base_and_one_edge(seq):
@@ -197,6 +233,51 @@ def test_maps_against_dart_level_enumeration(seq):
                             (g, edges, f, n, D)
         if edges == 3:
             assert genus_totals == {0: 54, 1: 20}
+
+
+def test_maps_against_dart_level_enumeration_four_edges(seq):
+    """The split sum's f1 range with every crosscheck degree list,
+    genus <= 2, up to 4 edges and n = 0..2e+1."""
+    for edges in range(1, 5):
+        by_cell = {}
+        for (g, v, f, n, others), cnt in map_census_by_pairs(edges).items():
+            by_cell.setdefault((g, f, n), []).append((others, cnt))
+        for g in range(0, 3):
+            for f in range(1, edges + 3):
+                for n in range(0, 2 * edges + 2):
+                    for D in CROSSCHECK_DEGREE_LISTS:
+                        want = sum(cnt * ordered_selections(others, D)
+                                   for others, cnt in by_cell.get((g, f, n), ()))
+                        assert seq.map_count(g, edges, f, n, D) == want, \
+                            (g, edges, f, n, D)
+
+
+def test_split_sums_call_no_factor_outside_the_cell_guard():
+    """Work counter: the split sums loop only over the (n1, f1, e1) box
+    each factor's guard allows, so a fresh evaluator answers this sweep
+    with exactly these calls.  A wider loop adds calls without changing a
+    count; a narrower one drops terms, which the enumeration tests catch."""
+    seq = SequencedCensus()
+    calls = Counter()
+    for name in ("_H", "_Hm", "_M"):
+        def counted(*args, name=name, inner=getattr(seq, name)):
+            calls[name] += 1
+            return inner(*args)
+        setattr(seq, name, counted)
+    for g in range(0, 3):
+        for t in range(1, 7):
+            for f in range(1, t + 2):
+                for e in range(1, t + 2):
+                    seq.rooted(g, t, f, e)
+                    for n in range(1, t + 1):
+                        for D in CROSSCHECK_DEGREE_LISTS:
+                            seq.multirooted_direct(g, t, f, e, n, D)
+        for edges in range(1, 5):
+            for f in range(1, edges + 2):
+                for n in range(1, 2 * edges + 1):
+                    for D in CROSSCHECK_DEGREE_LISTS:
+                        seq.map_count(g, edges, f, n, D)
+    assert dict(calls) == {"_H": 6504, "_Hm": 22447, "_M": 5586}
 
 
 def test_fresh_census_is_deterministic():
