@@ -8,17 +8,20 @@ Format: a line-oriented text file, chosen over binary for diff-ability.
     ...
     # rows=N crc32=XXXXXXXX
 
-Counts are decimal big integers.  The trailer holds the number of rows and
-the CRC-32 of their text, so a truncated, edited or half-written file is
-recognised, as is a file whose header names another table than its file name
-or a table :class:`CountTable` refuses (genus below 0, fewer than 1 dart), or
-which holds a header or row not written exactly as :func:`save_table` writes
-it (such as ``1_0`` or ``+1``) or a row :class:`CountTable` refuses (another
-genus, past the header's dart count, an invalid key or a count below 1):
-:func:`load_cached` then serves nothing and says so in one line on stderr,
-and the caller recomputes the table and overwrites the file.  Writes are
-atomic (temp file in the same directory, then rename).  The cache directory
-is ``$HYPERMAP_CACHE_DIR`` if set, else ``~/.cache/hypermap-census``.
+Counts are decimal big integers.  A file's name says which table it holds
+(``kz-g3-d14.counts``, as :func:`table_path` writes it), and its header line
+must be the one :func:`save_table` writes for that table, as its trailer
+(the number of rows and the CRC-32 of their text) must match its rows.  So a
+truncated, edited or half-written file is recognised, as is a file whose
+name is not a table's or whose header names another table, which holds a
+row not written exactly as :func:`save_table` writes it (such as ``1_0`` or
+``+1``), or a table or row :class:`CountTable` refuses (genus below 0, fewer
+than 1 dart, a row of another genus, past the dart count, an invalid key or
+a count below 1): :func:`load_cached` then serves nothing and says so in one
+line on stderr, and the caller recomputes the table and overwrites the
+file.  Writes are atomic (temp file in the same directory, then rename).
+The cache directory is ``$HYPERMAP_CACHE_DIR`` if set, else
+``~/.cache/hypermap-census``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ FORMAT_VERSION = 2
 _MAGIC = f"# hypermap-census cache v{FORMAT_VERSION}"
 # rows exactly as save_table writes them: five decimals without sign or leading zero
 _ROWS = re.compile(r"(?:(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*)){4}\n)*")
+# the names table_path writes: a lower-case engine, then genus and dart count
+# without leading zero (a genus below 0 or no darts is left to CountTable)
+_NAME = re.compile(r"([a-z]+)-g(0|-?[1-9][0-9]*)-d(0|-?[1-9][0-9]*)\.counts")
 
 
 def cache_dir() -> Path:
@@ -48,8 +54,8 @@ def table_path(engine: str, genus: int, max_darts: int) -> Path:
     return cache_dir() / f"{engine}-g{genus}-d{max_darts}.counts"
 
 
-def _meta(table: CountTable) -> str:
-    return f"# engine={table.engine} genus={table.genus} max-darts={table.max_darts}"
+def _meta(engine: str, genus, max_darts) -> str:
+    return f"# engine={engine} genus={genus} max-darts={max_darts}"
 
 
 def _trailer(body: str, rows: int) -> str:
@@ -69,7 +75,8 @@ def save_table(table: CountTable, genus: int, path: Path | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     body = "".join(f"{g} {t} {v} {e} {count}\n"
                    for (g, t, v, e), count in sorted(table.items()))
-    text = f"{_MAGIC}\n{_meta(table)}\n{body}{_trailer(body, len(table))}\n"
+    meta = _meta(table.engine, genus, table.max_darts)
+    text = f"{_MAGIC}\n{meta}\n{body}{_trailer(body, len(table))}\n"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -82,24 +89,19 @@ def save_table(table: CountTable, genus: int, path: Path | None = None) -> Path:
     return path
 
 
-def _header(magic: str, meta: str) -> dict | None:
-    if magic != _MAGIC or not meta.startswith("# "):
-        return None
-    fields = {}
-    for part in meta[2:].split():
-        key, _, value = part.partition("=")
-        fields[key] = value
-    if not {"engine", "genus", "max-darts"} <= fields.keys():
-        return None
-    return fields
-
-
-def _parse(text: str) -> CountTable:
-    """The table in a cache file's text; ValueError or CensusError if damaged."""
-    lines = text.split("\n")
-    header = _header(*lines[:2]) if len(lines) >= 4 else None
-    if header is None or lines[-1]:
+def _read(path: Path) -> CountTable:
+    """The table in the cache file ``path``, whose name says which table it
+    holds; OSError, ValueError or CensusError when the file cannot be read,
+    is damaged, or its header is not the one :func:`save_table` writes for
+    that table."""
+    lines = path.read_text().split("\n")
+    if len(lines) < 4 or lines[0] != _MAGIC or lines[-1]:
         raise ValueError(f"not a v{FORMAT_VERSION} cache file")
+    name = _NAME.fullmatch(path.name)
+    # the name's numbers are written as save_table writes them, so as strings
+    # they give the same header as the ints
+    if name is None or lines[1] != _meta(*name.groups()):
+        raise ValueError("its header names another table")
     rows = lines[2:-2]
     body = "".join(row + "\n" for row in rows)
     if lines[-2] != _trailer(body, len(rows)):
@@ -112,26 +114,13 @@ def _parse(text: str) -> CountTable:
     counts = {(g, t, v, e): c for g, t, v, e, c in zip(nums, nums, nums, nums, nums)}
     if len(counts) < len(rows):
         raise ValueError(f"{len(rows) - len(counts)} repeated row(s)")
-    table = CountTable(header["engine"], int(header["genus"]),
-                       int(header["max-darts"]), counts)
-    if lines[1] != _meta(table):
-        raise ValueError(f"malformed header {lines[1]!r}")
-    return table
-
-
-def _read(path: Path) -> CountTable:
-    """The table in the cache file ``path``; OSError, ValueError or CensusError
-    when the file cannot be read, is damaged or names another table."""
-    table = _parse(path.read_text())
-    if path.name != table_path(table.engine, table.genus, table.max_darts).name:
-        raise ValueError("its header names another table")
-    return table
+    return CountTable(name[1], int(name[2]), int(name[3]), counts)
 
 
 def load_cached(engine: str, genus: int, max_darts: int) -> CountTable | None:
     """The cached table, or None when there is no cache file for it, or, with
-    one line on stderr, when the file cannot be read, is not an intact cache
-    file or its header names another table than its file name does."""
+    one line on stderr, when the file cannot be read or is not an intact cache
+    file whose header names the table its file name does."""
     path = table_path(engine, genus, max_darts)
     if not path.exists():
         return None
@@ -145,7 +134,7 @@ def load_cached(engine: str, genus: int, max_darts: int) -> CountTable | None:
 def cache_entries():
     """Yield (path, status) for every ``*.counts`` file in the cache directory:
     status is "ok" for a file :func:`load_cached` serves, else the reason it
-    refuses the file."""
+    refuses the file, which includes a file whose name is not a table's."""
     root = cache_dir()
     if not root.is_dir():
         return

@@ -54,9 +54,12 @@ def main(argv=None) -> int:
     except CensusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # the reader closed stdout (e.g. `| head`); point it at devnull so the
-        # interpreter's final flush does not fail again
+    except OSError as exc:
+        # stdout could not be written: silently when the reader closed it
+        # (e.g. `| head`), else (a full disk, say) in one line; point it at
+        # devnull so the interpreter's final flush does not fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         sys.stdout = open(os.devnull, "w")
         return 1
 
@@ -364,7 +367,7 @@ def _cmd_crosscheck(args, parser) -> int:
         if seq_g < max_g:
             print(f"note: seq engine capped at genus {seq_g} (requested {max_g})")
 
-    rooted = RootedCensus(max(max_g, MAX_UNIVARIATE_GENUS), max(max_d, 2))
+    rooted = RootedCensus(max(max_g, MAX_UNIVARIATE_GENUS), max_d)
     seq = SequencedCensus()
     battery = (
         ("seq", "rooted engines agree (kz vs seq)",

@@ -161,10 +161,7 @@ def _deficiency_multisets(need, parts, L, cap):
             room = cap - len(acc)
             if rem > p * room:
                 return
-            most = rem // p
-            if most > room:
-                most = room
-            for k in range(most + 1):
+            for k in range(rem // p + 1):     # rem // p <= room, by the test above
                 yield from rec(rem - k * p, idx + 1, acc + [L - p] * k)
 
     return rec(need, 0, [])

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from hypermap_census.cli import main
+from hypermap_census.cli import (CROSSCHECK_DEGREE_LISTS, check_multiroot,
+                                 check_parameterizations, check_sandwich,
+                                 check_seq_vs_kz, check_trivariate, check_univariate,
+                                 main)
 
 
 def norm_lines(text):
@@ -287,6 +290,90 @@ def test_crosscheck_notes_the_seq_caps_only_when_seq_runs(capsys):
         assert ("note: seq engine capped at genus 3 (requested 4)" in out) is noted, only
 
 
+def _off_by_one(base, method, key):
+    """A subclass of ``base`` whose ``method`` reads one more at ``key`` only."""
+    def perturbed(self, *args):
+        return getattr(base, method)(self, *args) + (args == key)
+    return type(f"OffByOne{base.__name__}", (base,), {method: perturbed})
+
+
+def _wrong_at_genus_3(monkeypatch):
+    """Make ``cli.hg_via_t`` give the genus-2 series for genus 3."""
+    from hypermap_census import cli
+    from hypermap_census.series import hg_via_t
+    monkeypatch.setattr(cli, "hg_via_t",
+                        lambda g, order: hg_via_t(2 if g == 3 else g, order))
+
+
+def _sensed_with(monkeypatch, genus, key):
+    """Make ``cli.sensed_table`` read one more at ``key`` of its genus-``genus``
+    table."""
+    from hypermap_census import cli
+    from hypermap_census.core import CountTable
+    from hypermap_census.orbifold import sensed_table
+
+    def perturbed(G, max_darts, rooted):
+        table = sensed_table(G, max_darts, rooted)
+        if G != genus:
+            return table
+        counts = dict(table.items())
+        counts[key] = counts.get(key, 0) + 1
+        return CountTable(table.engine, G, max_darts, counts)
+    monkeypatch.setattr(cli, "sensed_table", perturbed)
+
+
+# one known comparison made wrong per case: (check on (rooted, seq), engine and
+# method read wrong at one key, or a patch of the cli namespace; first failure)
+BATTERY_FAILURES = {
+    "seq vs kz": (lambda r, s: check_seq_vs_kz(r, s, 1, 5),
+                  ("seq", "rooted", (1, 4, 2, 1)), ("seq vs kz", (1, 4, 2, 1))),
+    "multiroot": (lambda r, s: check_multiroot(s, 1, 4, CROSSCHECK_DEGREE_LISTS),
+                  ("seq", "multirooted_direct", (0, 3, 2, 2, 1, (1,))),
+                  ("multiroot", (0, 3, 2, 2, 1, (1,)))),
+    "univariate": (lambda r, s: check_univariate(r, 6),
+                   ("rooted", "total", (2, 5)), ("series univariate", (2, 5))),
+    "trivariate": (lambda r, s: check_trivariate(r, 2, 8),
+                   ("rooted", "count", (1, 4, 1, 2, 1)), ("series trivariate", (1, 1, 2, 1))),
+    "parameterization": (lambda r, s: check_parameterizations(8),
+                         _wrong_at_genus_3, ("parameterization", (3,))),
+    # a sensed count above its rooted one breaks the sandwich first ...
+    "sandwich": (lambda r, s: check_sandwich(r, 1, 6),
+                 lambda mp: _sensed_with(mp, 0, (0, 3, 1, 1)),
+                 ("burnside sandwich", (0, 3, 1, 1, 3))),
+    # ... and one where no rooted hypermap is (no hyperedge) only the second test
+    "sensed exceeds rooted": (lambda r, s: check_sandwich(r, 1, 6),
+                              lambda mp: _sensed_with(mp, 1, (1, 2, 1, 0)),
+                              ("sensed exceeds rooted", (1, 2, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("case", BATTERY_FAILURES)
+def test_check_battery_reports_its_first_failure(case, monkeypatch):
+    from hypermap_census.cli import RootedCensus, SequencedCensus
+    check, wrong, first = BATTERY_FAILURES[case]
+    rooted, seq = RootedCensus(6, 6), SequencedCensus()
+    bad, n = check(rooted, seq)
+    assert bad is None
+    if callable(wrong):
+        wrong(monkeypatch)
+    else:
+        engine, method, key = wrong
+        if engine == "rooted":
+            rooted = _off_by_one(RootedCensus, method, key)(6, 6)
+        else:
+            seq = _off_by_one(SequencedCensus, method, key)()
+    assert check(rooted, seq) == (first, n)
+
+
+def test_crosscheck_failure_is_exit_1(capsys, monkeypatch):
+    _wrong_at_genus_3(monkeypatch)
+    assert main(["crosscheck", "--max-genus", "1", "--max-darts", "6",
+                 "--only", "series"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "parameterization equivalence (tau vs t): FAIL at ('parameterization', (3,))" in out
+    assert out.count("crosscheck: 1 check(s) failed") == 1 and out[-1].startswith("crosscheck")
+
+
 def test_cache_info(capsys):
     assert main(["rooted", "--genus", "0", "--max-darts", "3"]) == 0
     capsys.readouterr()
@@ -335,6 +422,22 @@ def test_closed_stdout_pipe_is_exit_1_without_traceback():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["rooted", "--genus", "0", "--max-darts", "3"],
+    ["crosscheck", "--max-genus", "0", "--max-darts", "2"],
+])
+def test_stdout_write_error_is_one_line_and_exit_1(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "hypermap_census.cli", *argv],
+                                stdout=full, stderr=subprocess.PIPE, env=env, text=True,
+                                timeout=60)
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

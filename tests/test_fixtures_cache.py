@@ -247,3 +247,43 @@ def test_cache_info_reports_files_it_will_not_serve(capsys):
         "  kz-g0-d5.counts: not served, its header names another table",
         "  kz-g1-d6.counts: not served, row count or checksum does not match the trailer",
     ]
+
+
+# a file's name is its identity: an intact kz-g1-d6 file saved under another
+# name, that of another table (engine, genus, dart count) or of none
+MISNAMED = {
+    "sensed-g1-d6.counts": ("sensed", 1, 6),
+    "kz-g2-d6.counts": ("kz", 2, 6),
+    "kz-g1-d5.counts": ("kz", 1, 5),
+    "kz-g1-d7.counts": ("kz", 1, 7),
+    "kz-g01-d6.counts": None,
+    "backup.counts": None,
+}
+
+
+@pytest.mark.parametrize("name", MISNAMED)
+def test_cache_file_under_another_name_is_refused(name, capsys):
+    assert main(["rooted", "--genus", "1", "--max-darts", "6"]) == 0
+    path = cache.cache_dir() / name
+    path.write_text(cache.table_path("kz", 1, 6).read_text())
+    capsys.readouterr()
+    assert main(["cache-info"]) == 0
+    assert f"  {name}: not served, its header names another table" in \
+        capsys.readouterr().out.splitlines()
+    if MISNAMED[name] is None:
+        return
+    engine, genus, max_darts = MISNAMED[name]
+    assert cache.table_path(engine, genus, max_darts) == path
+    assert cache.load_cached(engine, genus, max_darts) is None
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    argv = ["unrooted" if engine == "sensed" else "rooted",
+            "--genus", str(genus), "--max-darts", str(max_darts)]
+    assert main(argv + ["--no-cache"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == fresh
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert dict(cache.cache_entries())[path] == "ok"   # rewritten
+    assert cache.load_cached(engine, genus, max_darts) is not None
+    assert capsys.readouterr().err == ""
