@@ -12,6 +12,8 @@ crosscheck  run the cross-engine consistency battery
 cache-info  show the table cache location and whether each file is served
 
 Exit codes: 0 success, 1 verification/consistency failure, 2 usage error.
+A ``crosscheck`` check that compares nothing at its bounds says so and
+exits 0, since nothing disagreed.
 
 The check battery is public, for the acceptance tests to run at their own
 bounds: each ``check_*`` returns (first_bad, comparisons), first_bad being None
@@ -383,20 +385,24 @@ def _cmd_crosscheck(args, parser) -> int:
         ("orbifold", "burnside sandwich and exact divisibility",
          lambda: check_sandwich(rooted, min(max_g, 6), max_d)),
     )
-    failed = 0
+    failed = empty = 0
     for group, name, check in battery:
         if args.only and group not in args.only:
             continue
         bad, n = check()
-        if bad is None:
-            print(f"{name}: PASS ({n} comparisons)")
-        else:
+        if bad is not None:
             print(f"{name}: FAIL at {bad}")
             failed += 1
+        elif n:
+            print(f"{name}: PASS ({n} comparisons)")
+        else:   # nothing disagreed, but nothing was checked either
+            print(f"{name}: nothing compared at these bounds")
+            empty += 1
     if failed:
         print(f"crosscheck: {failed} check(s) failed")
         return 1
-    print("crosscheck: all checks passed")
+    print(f"crosscheck: no check failed, {empty} compared nothing" if empty
+          else "crosscheck: all checks passed")
     return 0
 
 

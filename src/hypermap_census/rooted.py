@@ -41,7 +41,10 @@ divisible by d+1, and inside the support) and only then copies the quotient
 to every permutation of its triple.  A copy has the same value, so it passes
 the first two checks when the canonical value does.  It also passes the
 third: at f >= b >= w the vertex exponent w is the smallest, so w >= 1 puts
-all three exponents, in any order, at >= 1.
+all three exponents, in any order, at >= 1.  Each canonical value is stored
+up to six times, so every cell files its values under the census's one
+shared key tuple per exponent pair, not under six fresh tuples per canonical
+key; the duplicate tuples would take about half of a census's memory.
 """
 
 from __future__ import annotations
@@ -126,8 +129,11 @@ class RootedCensus:
             raise ValueError("need max_genus >= 0 and max_darts >= 1")
         self.max_genus = max_genus
         self.max_darts = max_darts
+        # one (f, b) tuple per exponent pair up to degree max_darts + 2
+        top = max_darts + 3
+        self._keys = [[(f, b) for b in range(top)] for f in range(top)]
         self._polys: dict[tuple[int, int], dict[tuple[int, int], int]] = {
-            (0, 1): {(1, 1): 1}}
+            (0, 1): {self._keys[1][1]: 1}}
         self._fill()
 
     # -- fill ---------------------------------------------------------------
@@ -162,6 +168,7 @@ class RootedCensus:
         its quotient at every permutation of its triple."""
         deg = d + 2 - 2 * g
         div = d + 1
+        keys = self._keys
         out = {}
         for (f, b), a in rhs.items():
             if a == 0:
@@ -180,7 +187,8 @@ class RootedCensus:
                 raise NegativeCoefficientError(
                     f"nonzero coefficient outside support at g={g} d={d} (f={f}, b={b}, w={w})"
                 )
-            for k in ((f, b), (f, w), (b, f), (b, w), (w, f), (w, b)):
+            kf, kb, kw = keys[f], keys[b], keys[w]
+            for k in (kf[b], kf[w], kb[f], kb[w], kw[f], kw[b]):
                 out[k] = q
         if out:
             self._polys[g, d] = out

@@ -274,6 +274,16 @@ def test_crosscheck_series_only(capsys):
     assert out.count("PASS") == 3
 
 
+@pytest.mark.parametrize("bounds", [["--max-genus", "0", "--max-darts", "1"],
+                                    ["--max-darts", "2", "--only", "series"]])
+def test_crosscheck_that_compares_nothing_does_not_pass(bounds, capsys):
+    assert main(["crosscheck"] + bounds) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "trivariate series vs rooted counts: nothing compared at these bounds" in out
+    assert not [line for line in out if "PASS (0 comparisons)" in line]
+    assert out[-1] == "crosscheck: no check failed, 1 compared nothing"
+
+
 def test_crosscheck_caps_seq_genus(capsys):
     assert main(["crosscheck", "--max-genus", "4", "--max-darts", "4",
                  "--only", "seq"]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from hypermap_census import (InexactDivisionError, NegativeCoefficientError,
                               NotFilledError, RootedCensus)
+from hypermap_census.rooted import ONE, S1, S2, _add_product
 from bruteforce import hypermap_census_by_pairs
 
 
@@ -95,6 +96,13 @@ def test_store_checks_canonical_values_then_copies_them():
     assert census._polys[0, 4] == {(f, b): 2 for f, b, _ in itertools.permutations((3, 2, 1))}
 
 
+def test_cells_share_one_key_tuple_per_exponent_pair(census14):
+    keys = [k for g in range(0, 7) for d in range(1, 15)
+            for k in census14.poly(g, d).fb_coefficients()]
+    assert len(keys) > len(set(keys)) > 100
+    assert len({id(k) for k in keys}) == len(set(keys))
+
+
 def test_table_export_matches_counts(census14):
     table = census14.table(1, max_darts=8)
     assert table.engine == "kz"
@@ -122,3 +130,55 @@ def test_against_dart_level_enumeration():
                         continue
                     assert census.count(g, t, v, e, f) == by_key.get((g, v, e, f), 0), \
                         (g, t, v, e, f)
+
+
+class _SlippedCensus(RootedCensus):
+    """``RootedCensus`` whose ``_fill`` is a copy with at most one slip in it."""
+
+    def __init__(self, slip, max_genus, max_darts):
+        self.slip = slip
+        super().__init__(max_genus, max_darts)
+
+    def _fill(self) -> None:
+        polys, slip = self._polys, self.slip
+        for d in range(2, self.max_darts + 1):
+            for g in range(0, self.max_genus + 1):
+                s2 = d - 1 if slip == "s2 coefficient d-1" else d - 2
+                handle = d if slip == "handle coefficient" else d - 1
+                terms = [(2 * d - 1, S1, polys.get((g, d - 1))),
+                         (s2, S2, polys.get((g, d - 2))),
+                         (handle * (d - 1) * (d - 2), ONE, polys.get((g - 1, d - 2)))]
+                for i in range(0, g + 1):
+                    for j in range(1 + (slip == "dropped j = 1"), d - 2):
+                        i2, j2 = g - i, d - 2 - j
+                        if (i, j) < (i2, j2) and slip != "unsymmetrised weight":
+                            c = 4 * (d - 2) + 12 * j * j2
+                        elif (i, j) <= (i2, j2):
+                            c = (4 + 6 * j) * j2
+                        else:
+                            continue
+                        terms.append((c, polys.get((i, j)), polys.get((i2, j2))))
+                deg = d + 2 - 2 * g
+                rhs: dict[tuple[int, int], int] = {}
+                for c, p1, p2 in terms:
+                    if p1 and p2:
+                        _add_product(rhs, c, p1, p2, deg)
+                self._store(g, d, rhs)
+
+
+@pytest.mark.deep
+def test_slip_free_copy_of_the_fill_matches():
+    assert _SlippedCensus(None, 10, 30)._polys == RootedCensus(10, 30)._polys
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("slip,error", [
+    ("s2 coefficient d-1", InexactDivisionError),
+    ("handle coefficient", InexactDivisionError),
+    ("unsymmetrised weight", InexactDivisionError),
+    ("dropped j = 1", InexactDivisionError),
+])
+def test_fill_checks_catch_each_slip(slip, error):
+    with pytest.raises(error) as caught:
+        _SlippedCensus(slip, 10, 30)
+    assert caught.traceback[-1].name == "_store"
