@@ -118,14 +118,14 @@ def _read(path: Path) -> CountTable:
 
 
 def load_cached(engine: str, genus: int, max_darts: int) -> CountTable | None:
-    """The cached table, or None when there is no cache file for it, or, with
-    one line on stderr, when the file cannot be read or is not an intact cache
-    file whose header names the table its file name does."""
+    """The cached table, or None: silently when there is no file (or no cache
+    directory) to read, and with one line on stderr when the file cannot be read
+    or is not an intact cache file whose header names the table its name does."""
     path = table_path(engine, genus, max_darts)
-    if not path.exists():
-        return None
     try:
         return _read(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
     except (OSError, ValueError, CensusError) as exc:
         print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
         return None
@@ -135,10 +135,7 @@ def cache_entries():
     """Yield (path, status) for every ``*.counts`` file in the cache directory:
     status is "ok" for a file :func:`load_cached` serves, else the reason it
     refuses the file, which includes a file whose name is not a table's."""
-    root = cache_dir()
-    if not root.is_dir():
-        return
-    for path in sorted(root.glob("*.counts")):
+    for path in sorted(cache_dir().glob("*.counts")):
         try:
             _read(path)
         except (OSError, ValueError, CensusError) as exc:

@@ -57,9 +57,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # stdout could not be written: silently when the reader closed it
-        # (e.g. `| head`), else (a full disk, say) in one line; point it at
-        # devnull so the interpreter's final flush does not fail again
+        # stdout could not be written, or cache-info could not list the cache
+        # directory (a path too long, say): silently when the reader closed
+        # stdout (e.g. `| head`), else (a full disk, say) in one line; point
+        # stdout at devnull so the interpreter's final flush does not fail again
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         sys.stdout = open(os.devnull, "w")

@@ -420,6 +420,56 @@ def test_directory_at_cache_file_path_is_warned_about(capsys):
     assert list(cache.cache_dir().glob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("unusable", [
+    "name too long",
+    pytest.param("no permission", marks=pytest.mark.skipif(
+        os.geteuid() == 0, reason="root reads a directory without permission")),
+])
+@pytest.mark.parametrize("command", ["rooted", "unrooted"])
+def test_unusable_cache_path_is_two_warnings(command, unusable, tmp_path, monkeypatch,
+                                             capsys):
+    argv = [command, "--genus", "1", "--max-darts", "4"]
+    assert main(argv + ["--no-cache"]) == 0
+    expected = capsys.readouterr().out
+    if unusable == "name too long":
+        root = tmp_path / ("a" * 300)
+    else:
+        root = tmp_path / "locked" / "cache"
+        root.parent.mkdir()
+        root.parent.chmod(0)
+    monkeypatch.setenv("HYPERMAP_CACHE_DIR", str(root))
+    try:
+        assert main(argv) == 0
+    finally:
+        if unusable == "no permission":
+            root.parent.chmod(0o700)   # so that pytest can remove tmp_path
+    out, err = capsys.readouterr()
+    assert out == expected
+    refused, not_saved = err.splitlines()   # the load refuses the path, the save fails
+    assert refused.startswith("warning: ignoring cache file ")
+    assert not_saved.startswith("warning: table not cached: ")
+
+
+def test_cache_info_on_a_cache_dir_that_is_a_file(tmp_path, monkeypatch, capsys):
+    from hypermap_census import cache
+    (tmp_path / "a-file").write_text("")
+    monkeypatch.setenv("HYPERMAP_CACHE_DIR", str(tmp_path / "a-file"))
+    assert list(cache.cache_entries()) == []
+    assert main(["cache-info"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "no cached tables" and err == ""
+
+
+def test_cache_info_on_a_name_too_long_is_one_error_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+               HYPERMAP_CACHE_DIR=str(tmp_path / ("a" * 300)))
+    result = subprocess.run([sys.executable, "-m", "hypermap_census.cli", "cache-info"],
+                            capture_output=True, env=env, text=True, timeout=60)
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
 def test_closed_stdout_pipe_is_exit_1_without_traceback():
     # -u writes each line at once, so the read below sees the first check's
     # line while later ones are still to be written into the closed pipe
