@@ -327,9 +327,8 @@ def _cmd_verify(args, parser) -> int:
     if not fixture_list:
         parser.error(f"no fixture files (rooted-gN.txt / unrooted-gN.txt) in "
                      f"{args.fixtures}")
-    failures = 0
-    checked = 0
-    censuses = {}   # (genus, max_darts) -> RootedCensus, shared by rooted-gN and unrooted-gN
+    fixtures = []   # (kind, genus, name, rows, sums, darts); darts 0 when empty
+    max_genus = max_darts = 0
     for kind, genus, path in fixture_list:
         try:
             rows, sums = parse_table(path.read_text(), source=str(path))
@@ -339,23 +338,29 @@ def _cmd_verify(args, parser) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"parse error: {path}: cannot read: {exc}", file=sys.stderr)
             return 2
-        if not rows and not sums:
-            print(f"{path.name}: empty fixture")
+        darts = max([r.darts for r in rows] + [s.darts for s in sums], default=0)
+        fixtures.append((kind, genus, path.name, rows, sums, darts))
+        if darts:
+            max_genus, max_darts = max(max_genus, genus), max(max_darts, darts)
+    # a genus-g table reads only genera <= g and its own dart range, so one
+    # census at the largest bounds serves every fixture
+    if max_darts:
+        _check_bounds(parser, max_genus, max_darts, None)
+        rooted = RootedCensus(max_genus, max_darts)
+    failures = checked = 0
+    for kind, genus, name, rows, sums, darts in fixtures:
+        if not darts:
+            print(f"{name}: empty fixture")
             continue
-        max_darts = max([r.darts for r in rows] + [s.darts for s in sums])
-        _check_bounds(parser, genus, max_darts, None)
-        if (genus, max_darts) not in censuses:
-            censuses[genus, max_darts] = RootedCensus(genus, max_darts)
-        rooted = censuses[genus, max_darts]
-        table = rooted.table(genus) if kind == "rooted" else \
-            sensed_table(genus, max_darts, rooted)
-        lines = fixture_failures(path.name, table, rows, sums)
+        table = rooted.table(genus, darts) if kind == "rooted" else \
+            sensed_table(genus, darts, rooted)
+        lines = fixture_failures(name, table, rows, sums)
         for line in lines:
             print(line)
         checked += len(rows) + len(sums)
         failures += len(lines)
         status = f"{len(lines)} FAILED" if lines else "OK"
-        print(f"{path.name}: {len(rows)} rows + {len(sums)} sums {status}")
+        print(f"{name}: {len(rows)} rows + {len(sums)} sums {status}")
     print(f"verify: {checked} checks, {failures} failures")
     return 1 if failures else 0
 

@@ -127,7 +127,7 @@ def render_json(table: CountTable) -> str:
     return json.dumps(out, indent=2)
 
 
-_FIXTURE_NAME = re.compile(r"^(rooted|unrooted)-g([0-9]+)\.txt$")
+_FIXTURE_NAME = re.compile(r"(rooted|unrooted)-g([0-9]+)\.txt")
 
 
 def discover_fixtures(directory: str | Path):
@@ -135,7 +135,7 @@ def discover_fixtures(directory: str | Path):
     ``directory``, as a list sorted by file name."""
     found = []
     for path in sorted(Path(directory).iterdir()):
-        m = _FIXTURE_NAME.match(path.name)
+        m = _FIXTURE_NAME.fullmatch(path.name)
         if m:
             found.append((m.group(1), int(m.group(2)), path))
     return found

@@ -81,9 +81,9 @@ def sub_multisets(D: tuple[int, ...]):
 class SequencedCensus:
     """Memoized evaluator for the sequenced / multirooted recurrences.
 
-    Evaluation is single-threaded by default; the memo contract is
-    idempotent insertion (every computation of a key yields the same value,
-    so a lost race merely recomputes), never mutation of stored values.
+    Evaluation is single-threaded.  The memos only gain entries: every
+    computation of a key yields the same value, and a stored value is never
+    changed.
     """
 
     engine = "seq"

@@ -140,7 +140,8 @@ def test_verify_full_fixture_set(capsys, fixtures_dir):
     assert "0 failures" in out
 
 
-def test_verify_fills_one_census_per_genus(capsys, fixtures_dir, monkeypatch):
+def _count_fills(monkeypatch):
+    """Patch ``cli.RootedCensus`` to record each fill's (max_genus, max_darts)."""
     from hypermap_census import cli
 
     fills = []
@@ -151,11 +152,72 @@ def test_verify_fills_one_census_per_genus(capsys, fixtures_dir, monkeypatch):
             super().__init__(max_genus, max_darts)
 
     monkeypatch.setattr(cli, "RootedCensus", CountedCensus)
+    return fills
+
+
+def test_verify_fills_one_census(capsys, fixtures_dir, monkeypatch):
+    fills = _count_fills(monkeypatch)
     assert main(["verify", "--fixtures", str(fixtures_dir)]) == 0
-    assert sorted(fills) == [(g, 14) for g in range(7)]
+    assert fills == [(6, 14)]
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out[:-1]] == [
         f"{kind}-g{g}.txt" for kind in ("rooted", "unrooted") for g in range(7)]
+
+
+def test_verify_checks_each_fixture_at_its_own_bounds(tmp_path, capsys, fixtures_dir,
+                                                      monkeypatch):
+    # rooted-g2 cut to 9 darts beside the whole (14-dart) unrooted-g0
+    lines = (fixtures_dir / "rooted-g2.txt").read_text().splitlines(keepends=True)
+    cut = "".join(line for line in lines
+                  if not line.split() or not line.split()[0].isdigit()
+                  or int(line.split()[0]) <= 9)
+    texts = {"rooted-g2.txt": cut,
+             "unrooted-g0.txt": (fixtures_dir / "unrooted-g0.txt").read_text()}
+    alone = {}
+    for name, text in texts.items():
+        one = tmp_path / name.split(".")[0]
+        one.mkdir()
+        (one / name).write_text(text)
+        assert main(["verify", "--fixtures", str(one)]) == 0
+        alone[name] = capsys.readouterr().out.splitlines()[:-1]
+    both = tmp_path / "both"
+    both.mkdir()
+    for name, text in texts.items():
+        (both / name).write_text(text)
+    fills = _count_fills(monkeypatch)
+    assert main(["verify", "--fixtures", str(both)]) == 0
+    assert fills == [(2, 14)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:-1] == alone["rooted-g2.txt"] + alone["unrooted-g0.txt"]
+    assert alone["rooted-g2.txt"] == ["rooted-g2.txt: 35 rows + 5 sums OK"]
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("unrooted-g3.txt", "   7   1   1   1   1   1\n", "parse error: "),
+    ("unrooted-g3.txt", None, "parse error: "),   # a directory, which cannot be read
+    ("unrooted-g11.txt", "  23   1   1   1   1\n",
+     "hypermap-census: error: bounds exceed genus 10 / 30 darts"),
+], ids=["malformed", "unreadable", "beyond-caps"])
+def test_verify_bad_fixture_after_a_good_one_prints_and_fills_nothing(
+        name, text, error, tmp_path, capsys, fixtures_dir, monkeypatch):
+    (tmp_path / "rooted-g0.txt").write_text((fixtures_dir / "rooted-g0.txt").read_text())
+    if text is None:
+        (tmp_path / name).mkdir()
+    else:
+        (tmp_path / name).write_text(text)
+    fills = _count_fills(monkeypatch)
+    try:
+        code = main(["verify", "--fixtures", str(tmp_path)])
+    except SystemExit as exc:   # argparse's usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and fills == [] and captured.out == ""
+    err = captured.err.splitlines()
+    if error.startswith("parse error"):
+        assert len(err) == 1 and name in err[0]
+    else:
+        assert err[0].startswith("usage: ") and [l for l in err if "error:" in l] == [error]
+    assert err[-1].startswith(error)
 
 
 def test_verify_detects_single_perturbed_value(tmp_path, capsys, fixtures_dir):
@@ -167,6 +229,17 @@ def test_verify_detects_single_perturbed_value(tmp_path, capsys, fixtures_dir):
     fail_lines = [l for l in out.splitlines() if l.startswith("FAIL ")]
     assert len(fail_lines) == 1
     assert "d=13" in fail_lines[0]
+
+
+def test_verify_detects_single_perturbed_sum(tmp_path, capsys, fixtures_dir):
+    text = (fixtures_dir / "rooted-g1.txt").read_text()
+    assert text.count("   6         sum   1611\n") == 1
+    (tmp_path / "rooted-g1.txt").write_text(
+        text.replace("   6         sum   1611\n", "   6         sum   1612\n"))
+    assert main(["verify", "--fixtures", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("FAIL ")] == [
+        "FAIL rooted-g1.txt: d=6 sum: fixture 1612, computed 1611"]
 
 
 def test_verify_detects_missing_row(tmp_path, capsys, fixtures_dir):
@@ -192,6 +265,29 @@ def test_verify_empty_directory_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--fixtures", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_verify_fixtures_naming_a_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "not-a-dir").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fixtures", str(tmp_path / "not-a-dir")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ")
+    errors = [line for line in err if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("hypermap-census: error: cannot read fixtures directory")
+
+
+def test_verify_ignores_a_fixture_name_with_a_trailing_newline(tmp_path, capsys,
+                                                                fixtures_dir):
+    text = (fixtures_dir / "rooted-g1.txt").read_text()
+    (tmp_path / "rooted-g1.txt\n").write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--fixtures", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: no fixture files" in captured.err
 
 
 def test_verify_ignores_fixture_names_with_non_ascii_digits(tmp_path, fixtures_dir):
@@ -382,6 +478,28 @@ def test_crosscheck_failure_is_exit_1(capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert "parameterization equivalence (tau vs t): FAIL at ('parameterization', (3,))" in out
     assert out.count("crosscheck: 1 check(s) failed") == 1 and out[-1].startswith("crosscheck")
+
+
+def test_series_whose_parameterizations_disagree_is_exit_1(capsys, monkeypatch):
+    _wrong_at_genus_3(monkeypatch)
+    assert main(["series", "--genus", "3", "--max-darts", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the two parameterizations disagree\n"
+
+
+def test_census_error_is_one_line_and_exit_1(capsys, monkeypatch):
+    from hypermap_census import cli
+    from hypermap_census.core import InexactDivisionError
+
+    def refuse(max_genus, max_darts):
+        raise InexactDivisionError("coefficient 7 at g=1 d=4 (f=1, b=2) not divisible by 5")
+    monkeypatch.setattr(cli, "RootedCensus", refuse)
+    assert main(["rooted", "--genus", "1", "--max-darts", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: coefficient 7 at g=1 d=4 (f=1, b=2) not divisible by 5\n"
 
 
 def test_cache_info(capsys):
