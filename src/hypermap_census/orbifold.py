@@ -259,12 +259,17 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     as F' grows, so the first empty range ends the F' loop, and the d loop
     starts at the first d whose F' = 0 range is not empty.  Inside the B'
     loop W' and L*W' + Wb step down, and L*B' + Bb up, rather than being
-    recomputed.  Each quotient coefficient is looked up by (f, b) through a
-    lookup bound once per (g, d).  One table of binomials C(n, k), for
-    n <= max_darts + 2 quotient cells and k <= max_darts // 2 + 2 branch
-    points (the most a period L >= 2 admits), is built per call; a split's
-    constant sw! sb! sf! / prod(w_i! b_i! f_i!) joins epi0 once per split,
-    and the face binomial once per F'.  Each canonical total is checked
+    recomputed.  Each quotient coefficient is read by index from the
+    census's tuple for (g, d), fetched once per call through
+    :meth:`RootedCensus.coefficients`, and only inside the support
+    f >= 1 and 1 <= b < d + 2 - 2g - f.  The loop skips f = 0, and for
+    f >= 1 the bounds keep b and w at >= 1: F >= 1, so B >= F and W >= B
+    are >= 1, and B = L*B' + Bb is 0 when b = B' + sb is (likewise W).  One
+    table of binomials C(n, k), for n <= max_darts + 2 quotient cells and
+    k <= max_darts // 2 + 2 branch points (the most a period L >= 2
+    admits), is built per call; a split's constant
+    sw! sb! sf! / prod(w_i! b_i! f_i!) joins epi0 once per split, and the
+    face binomial once per F'.  Each canonical total is checked
     for exact division by E; its quotient is then stored at every
     permutation of (W, B, F), and :class:`CountTable` checks each row.
     """
@@ -284,9 +289,9 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                 continue
             g = sig.quotient_genus
             if g not in quotients:    # top only falls as L grows
-                quotients[g] = [None] + [rooted.poly(g, d).fb_coefficients().get
+                quotients[g] = [None] + [rooted.coefficients(g, d)
                                          for d in range(1, top + 1)]
-            coeffs = quotients[g]
+            cells = quotients[g]
             for (sw, sb, sf), (Wb, Bb, Fb), prod in _branch_distributions(sig.orbit_lengths):
                 c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
                 c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
@@ -302,7 +307,9 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                 weight = weight0 * factorial(sw) * factorial(sb) * factorial(sf) // prod
                 mw, mb, mf = binoms[sw], binoms[sb], binoms[sf]
                 for d in range(first, top + 1):
-                    coeff = coeffs[d]
+                    row, coeff = cells[d]
+                    if not coeff:
+                        continue
                     E = L * d
                     R = d - shift                        # rest - F'
                     lo = c_bf                            # F' + c_bf
@@ -313,18 +320,22 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                             hi = R
                         if B1 > hi:
                             break
-                        wf = weight * mf[f]
-                        w = R - B1 + sw                  # W' + sw
-                        W = L * (R - B1) + Wb
-                        B = L * B1 + Bb
-                        for b in range(B1 + sb, hi + sb + 1):
-                            n_quot = coeff((f, b))
-                            if n_quot:
-                                key = (E, W, B)
-                                acc[key] = acc.get(key, 0) + wf * mw[w] * mb[b] * n_quot
-                            w -= 1
-                            W -= L
-                            B += L
+                        # f >= 1 makes F >= 1, and then B >= F and W >= B
+                        # give b, w >= 1: every read stays in row f
+                        if f:
+                            wf = weight * mf[f]
+                            at = row[f]
+                            w = R - B1 + sw              # W' + sw
+                            W = L * (R - B1) + Wb
+                            B = L * B1 + Bb
+                            for b in range(B1 + sb, hi + sb + 1):
+                                n_quot = coeff[at + b]
+                                if n_quot:
+                                    key = (E, W, B)
+                                    acc[key] = acc.get(key, 0) + wf * mw[w] * mb[b] * n_quot
+                                w -= 1
+                                W -= L
+                                B += L
                         R -= 1
                         lo += 1
     counts = {}

@@ -27,30 +27,31 @@ polynomials are symmetric.  So the fill computes the right-hand side only at
 canonical keys f >= b >= w; with w = deg - f - b the test b >= w reads
 f + 2b >= deg.
 
-Each of the four terms is a coefficient times a product of two polynomials
-(s1, s2 and 1 are polynomials in the same (f, b)-keyed format), so the fill
-lists (coefficient, p1, p2) terms and one kernel, :func:`_add_product`,
-multiplies them and holds the only canonical-key test.  The convolution lists
-each unordered factor pair {(i, j), (g-i, d-2-j)} once: the two orders
-multiply the same polynomials, so their weights merge into
-(4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to its
-mirror keeps (4+6j) * j'.
+Each of the four terms is a coefficient times a product of two polynomials,
+each given as a pair (slot keys, coefficients), s1, s2 and 1 included, so
+the fill lists (coefficient, p1, p2) terms and one kernel,
+:func:`_add_product`, multiplies them and holds the only canonical-key test.
+The convolution lists each unordered factor pair {(i, j), (g-i, d-2-j)}
+once: the two orders multiply the same polynomials, so their weights merge
+into (4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to
+its mirror keeps (4+6j) * j'.
 
 :meth:`RootedCensus._store` checks each canonical value (nonnegative, exactly
 divisible by d+1, and inside the support) and only then copies the quotient
 to every permutation of its triple.  A copy has the same value, so it passes
 the first two checks when the canonical value does.  It also passes the
 third: at f >= b >= w the vertex exponent w is the smallest, so w >= 1 puts
-all three exponents, in any order, at >= 1.  Each canonical value is stored
-up to six times, so every cell files its values under the census's one
-shared key tuple per exponent pair, not under six fresh tuples per canonical
-key; the duplicate tuples would take about half of a census's memory.
+all three exponents, in any order, at >= 1.
+
+A stored cell is one tuple of coefficients, one slot for every (f, b) with
+f, b, w >= 1 in the cell's degree, row by row in f and by b within a row.
+The census keeps, per degree, one tuple of the slot keys in that order and a
+row-offset table, so (f, b) sits at index row[f] + b.  Every cell filled so
+far is full (each slot of its degree holds a nonzero count), but the layout
+does not rely on that: a zero slot is stored as 0 and skipped on export.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
-from types import MappingProxyType
 
 from .core import (
     CountTable,
@@ -81,10 +82,6 @@ class HomoPoly:
         for (f, b), c in self._terms.items():
             yield (f, b, self.degree - f - b), c
 
-    def fb_coefficients(self) -> Mapping[tuple[int, int], int]:
-        """Read-only view {(f, b): coefficient}, with w = degree - f - b."""
-        return MappingProxyType(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -92,25 +89,40 @@ class HomoPoly:
         return len(self._terms)
 
 
-_ZERO = {}
-
-# the recurrence factors s1, s2 and 1 in the fill's (f, b)-keyed format
-S1 = {(1, 0): 1, (0, 1): 1, (0, 0): 1}
-S2 = {(1, 1): 2, (1, 0): 2, (0, 1): 2, (2, 0): -1, (0, 2): -1, (0, 0): -1}
-ONE = {(0, 0): 1}
+# the recurrence factors s1, s2 and 1 as (keys, coefficients) pairs
+S1 = (((1, 0), (0, 1), (0, 0)), (1, 1, 1))
+S2 = (((1, 1), (1, 0), (0, 1), (2, 0), (0, 2), (0, 0)), (2, 2, 2, -1, -1, -1))
+ONE = (((0, 0),), (1,))
 
 
-def _add_product(rhs: dict, c: int, p1: dict, p2: dict, deg: int) -> None:
+def _add_product(rhs: dict, c: int, p1: tuple, p2: tuple, deg: int) -> None:
     """Add c * p1 * p2 to ``rhs`` at the canonical keys f >= b >= w of degree
     ``deg`` only; b >= w = deg - f - b is the same test as f + 2b >= deg."""
-    for (f1, b1), a1 in p1.items():
+    keys2, coeffs2 = p2
+    for (f1, b1), a1 in zip(*p1):
         ca1 = c * a1
-        for (f2, b2), a2 in p2.items():
+        for (f2, b2), a2 in zip(keys2, coeffs2):
             f = f1 + f2
             b = b1 + b2
             if f >= b and f + b + b >= deg:
                 k = (f, b)
                 rhs[k] = rhs.get(k, 0) + ca1 * a2
+
+
+def _slots(top: int) -> list[tuple[tuple, list[int]]]:
+    """Per degree below ``top``: the slot keys (f, b) with f, b, w >= 1, row
+    by row in f, and the row offsets, so that (f, b) sits at row[f] + b.
+    Every degree's keys refer to one (f, b) tuple per exponent pair."""
+    pairs = [[(f, b) for b in range(top)] for f in range(top)]
+    slots = []
+    for deg in range(top):
+        keys = []
+        row = [0] * (deg - 1)     # row[0] is never read
+        for f in range(1, deg - 1):
+            row[f] = len(keys) - 1
+            keys += pairs[f][1:deg - f]
+        slots.append((tuple(keys), row))
+    return slots
 
 
 class RootedCensus:
@@ -129,22 +141,22 @@ class RootedCensus:
             raise ValueError("need max_genus >= 0 and max_darts >= 1")
         self.max_genus = max_genus
         self.max_darts = max_darts
-        # one (f, b) tuple per exponent pair up to degree max_darts + 2
-        top = max_darts + 3
-        self._keys = [[(f, b) for b in range(top)] for f in range(top)]
-        self._polys: dict[tuple[int, int], dict[tuple[int, int], int]] = {
-            (0, 1): {self._keys[1][1]: 1}}
+        # slot keys and row offsets per degree, up to degree max_darts + 2
+        self._slots = _slots(max_darts + 3)
+        self._cells: dict[tuple[int, int], tuple[int, ...]] = {(0, 1): (1,)}
         self._fill()
 
     # -- fill ---------------------------------------------------------------
 
     def _fill(self) -> None:
-        polys = self._polys
+        cells, slots = self._cells, self._slots
+        # the filled cells as (slot keys, coefficients) pairs, for _add_product
+        factors = {(0, 1): (slots[3][0], cells[0, 1])}
         for d in range(2, self.max_darts + 1):
             for g in range(0, self.max_genus + 1):
-                terms = [(2 * d - 1, S1, polys.get((g, d - 1))),
-                         (d - 2, S2, polys.get((g, d - 2))),
-                         ((d - 1) * (d - 1) * (d - 2), ONE, polys.get((g - 1, d - 2)))]
+                terms = [(2 * d - 1, S1, factors.get((g, d - 1))),
+                         (d - 2, S2, factors.get((g, d - 2))),
+                         ((d - 1) * (d - 1) * (d - 2), ONE, factors.get((g - 1, d - 2)))]
                 # each unordered pair {(i, j), (g-i, d-2-j)} once
                 for i in range(0, g + 1):
                     for j in range(1, d - 2):
@@ -155,21 +167,22 @@ class RootedCensus:
                             c = (4 + 6 * j) * j2
                         else:
                             continue
-                        terms.append((c, polys.get((i, j)), polys.get((i2, j2))))
+                        terms.append((c, factors.get((i, j)), factors.get((i2, j2))))
                 deg = d + 2 - 2 * g
                 rhs: dict[tuple[int, int], int] = {}
                 for c, p1, p2 in terms:
                     if p1 and p2:
                         _add_product(rhs, c, p1, p2, deg)
                 self._store(g, d, rhs)
+                if (g, d) in cells:
+                    factors[g, d] = (slots[deg][0], cells[g, d])
 
     def _store(self, g: int, d: int, rhs: dict) -> None:
         """Check each canonical value of (d+1) * P[g,d] in ``rhs``, then store
         its quotient at every permutation of its triple."""
         deg = d + 2 - 2 * g
         div = d + 1
-        keys = self._keys
-        out = {}
+        out = None
         for (f, b), a in rhs.items():
             if a == 0:
                 continue
@@ -187,11 +200,13 @@ class RootedCensus:
                 raise NegativeCoefficientError(
                     f"nonzero coefficient outside support at g={g} d={d} (f={f}, b={b}, w={w})"
                 )
-            kf, kb, kw = keys[f], keys[b], keys[w]
-            for k in (kf[b], kf[w], kb[f], kb[w], kw[f], kw[b]):
-                out[k] = q
-        if out:
-            self._polys[g, d] = out
+            if out is None:     # here deg >= 3, as f >= b >= w >= 1
+                keys, row = self._slots[deg]
+                out = [0] * len(keys)
+            rf, rb, rw = row[f], row[b], row[w]
+            out[rf + b] = out[rf + w] = out[rb + f] = out[rb + w] = out[rw + f] = out[rw + b] = q
+        if out is not None:
+            self._cells[g, d] = tuple(out)
 
     # -- queries ------------------------------------------------------------
 
@@ -200,21 +215,39 @@ class RootedCensus:
             raise NotFilledError(f"(g={g}, d={d}) outside filled range "
                                  f"(max_genus={self.max_genus}, max_darts={self.max_darts})")
 
+    def _terms(self, g: int, d: int):
+        """((f, b), coefficient) for every nonzero term of P[g,d]."""
+        cell = self._cells.get((g, d))
+        if cell is None:
+            return ()
+        return ((k, c) for k, c in zip(self._slots[d + 2 - 2 * g][0], cell) if c)
+
     def poly(self, g: int, d: int) -> HomoPoly:
         self._check_range(g, d)
-        return HomoPoly(d + 2 - 2 * g, self._polys.get((g, d), {}))
+        return HomoPoly(d + 2 - 2 * g, dict(self._terms(g, d)))
+
+    def coefficients(self, g: int, d: int) -> tuple[list[int], tuple[int, ...]]:
+        """(row, coeffs) for P[g,d]: its coefficient at (f, b, w) is
+        coeffs[row[f] + b] for f >= 1 and 1 <= b < d + 2 - 2g - f (so w >= 1).
+        Any other index reads another slot or fails, so callers stay inside
+        that range.  ``coeffs`` is empty for the zero polynomial."""
+        self._check_range(g, d)
+        deg = d + 2 - 2 * g
+        return self._slots[max(deg, 0)][1], self._cells.get((g, d), ())
 
     def count(self, g: int, d: int, v: int, e: int, f: int) -> int:
         """Rooted hypermaps of genus g with d darts, v vertices, e hyperedges, f faces."""
         self._check_range(g, d)
-        if v + e + f != d + 2 - 2 * g:
+        deg = d + 2 - 2 * g
+        if v < 1 or e < 1 or f < 1 or v + e + f != deg:
             return 0
-        return self._polys.get((g, d), _ZERO).get((f, e), 0)
+        cell = self._cells.get((g, d))
+        return cell[self._slots[deg][1][f] + e] if cell else 0
 
     def total(self, g: int, d: int) -> int:
         """All rooted hypermaps of genus g with d darts."""
         self._check_range(g, d)
-        return sum(self._polys.get((g, d), _ZERO).values())
+        return sum(self._cells.get((g, d), ()))
 
     def table(self, genus: int, max_darts: int | None = None) -> CountTable:
         """Export one genus as a CountTable keyed (g, t, v, e)."""
@@ -222,6 +255,5 @@ class RootedCensus:
         self._check_range(genus, max_darts)
         counts = {(genus, d, d + 2 - 2 * genus - f - b, b): c
                   for d in range(1, max_darts + 1)
-                  for (f, b), c in self._polys.get((genus, d), _ZERO).items()}
+                  for (f, b), c in self._terms(genus, d)}
         return CountTable(self.engine, genus, max_darts, counts)
-

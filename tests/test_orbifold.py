@@ -167,6 +167,31 @@ def test_sensed_tables_at_every_dart_bound():
             assert dict(table.items()) == {k: c for k, c in rows.items() if k[1] <= D}, (G, D)
 
 
+class _PaddedCensus(RootedCensus):
+    """Serves each cell with a row f = 0 and a slot at b = 0 and at w = 0 in
+    every row, all holding a value no arithmetic accepts."""
+
+    def coefficients(self, g, d):
+        row, coeffs = super().coefficients(g, d)
+        if not coeffs:
+            return row, coeffs
+        deg = d + 2 - 2 * g
+        pad = object()
+        padded, starts = [pad] * deg, [0]
+        for f in range(1, deg - 1):
+            starts.append(len(padded))
+            padded += [pad, *(coeffs[row[f] + b] for b in range(1, deg - f)), pad]
+        return starts, tuple(padded)
+
+
+def test_sensed_sum_reads_only_the_support():
+    # the cells are flat tuples, so a read off the support would pick up
+    # another slot's count instead of a zero
+    census, padded = RootedCensus(6, 24), _PaddedCensus(6, 24)
+    for G in range(7):
+        assert sensed_table(G, 24, padded) == sensed_table(G, 24, census), G
+
+
 @pytest.mark.parametrize("orbit_lengths", [(), (1,), (1, 1), (1, 1, 1, 1), (1, 2, 2),
                                            (1, 1, 3, 3, 3)])
 def test_branch_points_of_one_length_split_once(orbit_lengths):
