@@ -50,7 +50,7 @@ from math import comb
 from operator import add, mul
 
 from .core import CensusError
-from .series_data import GENUS_NUMERATOR_T, GENUS_NUMERATOR_TAU, PLANAR_BRACKET_POLY
+from .series_data import GENUS_NUMERATOR_E, GENUS_NUMERATOR_T, GENUS_NUMERATOR_TAU
 
 MAX_UNIVARIATE_GENUS = 6
 MAX_TRIVARIATE_GENUS = 2
@@ -514,54 +514,17 @@ def _expand_symmetric(series: TSeries) -> TSeries:
     return TSeries(parts, series.order)
 
 
-def _elementary_form(terms) -> dict:
-    """A symmetric polynomial sum(coef * p**a * q**b * r**c), given as
-    ((a, b, c), coef) pairs, in E1, E2, E3: {(i, j, k): coef} for
-    coef * E1**i * E2**j * E3**k.
-
-    The lexicographically largest term p**a q**b r**c has a >= b >= c, and it
-    is the largest term of E1**(a-b) E2**(b-c) E3**c, so subtracting coef
-    times that product removes it and adds only smaller terms.  A largest
-    term with a < b or b < c shows the polynomial is not symmetric."""
-    e1 = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
-    e2 = {(1, 1, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
-    powers = {(0, 0): {(0, 0, 0): 1}}
-
-    def power(i: int, j: int) -> dict:
-        """E1**i E2**j in p, q, r (a homogeneous polynomial is a one-part series)."""
-        if (i, j) not in powers:
-            prev, factor = ((i - 1, j), e1) if i else ((0, j - 1), e2)
-            powers[i, j] = _product_part([power(*prev)], [factor], 0)
-        return powers[i, j]
-
-    poly = dict(terms)
-    out = {}
-    while poly:
-        (a, b, c), coef = max(poly.items())
-        if not a >= b >= c:
-            raise ValueError(f"polynomial is not symmetric: leading term {(a, b, c)}")
-        out[a - b, b - c, c] = coef
-        for (x, y, z), v in power(a - b, b - c).items():
-            key = (x + c, y + c, z + c)
-            rest = poly.get(key, 0) - coef * v
-            if rest:
-                poly[key] = rest
-            else:
-                poly.pop(key, None)
-    return out
-
-
-def _evaluate(poly: dict, e1: TSeries, e2: TSeries, e3: TSeries) -> TSeries:
-    """sum(coef * e1**i * e2**j * e3**k) for poly {(i, j, k): coef}.
+def _evaluate(terms: list, e1: TSeries, e2: TSeries, e3: TSeries) -> TSeries:
+    """sum(coef * e1**i * e2**j * e3**k) for ``terms`` ((i, j, k), coef).
 
     The powers of e1 are formed once, so each coefficient of e2**j e3**k is a
     linear combination of them; Horner's rule in e2, then in e3, multiplies
     those."""
     powers = [TSeries.constant(1, e1.order)]
-    for _ in range(max(i for i, _, _ in poly)):
+    for _ in range(max(i for (i, _, _), _ in terms)):
         powers.append(powers[-1] * e1)
     by_k: dict = {}
-    for (i, j, k), coef in poly.items():
+    for (i, j, k), coef in terms:
         group = by_k.setdefault(k, {})
         group[j] = group.get(j, 0) + coef * powers[i]
 
@@ -581,12 +544,12 @@ def hg_trivariate(g: int, order: int) -> TSeries:
     Every closed form is p*q*r times a cofactor X, symmetric in p, q, r and so
     a polynomial or rational function in E1 = p+q+r, E2 = pq+qr+rp, E3 = pqr:
 
-        g = 0:  X = 1 - E1
-        g = 1, 2:  X = (1 - E1 + E2 - E3) * P_g / B**(5g-3)
+        g = 0:   X = 1 - E1
+        g >= 1:  X = (1 - E1 + E2 - E3) * P_g / B**(5g-3)
 
-    with the square-bracket kernel B = (1-E1)**2 - 4*E3, P_1 = 1 and P_2 the
-    genus-2 numerator ``PLANAR_BRACKET_POLY`` reduced to E1, E2, E3 at each
-    call (:func:`_elementary_form`).  As p*q*r = x*y*u / D, the series is
+    with the square-bracket kernel B = (1-E1)**2 - 4*E3 and P_g the numerator
+    ``GENUS_NUMERATOR_E[g]``, held as data in E1, E2, E3 (P_1 = 1) and
+    evaluated by :func:`_evaluate`.  As p*q*r = x*y*u / D, the series is
     X3 * X / D, with X3 = x*y*u and D as in :func:`_elementary_of_symmetric`.
     It is formed as a weight-graded series in X1, X2, X3, with E1, E2, E3
     solved to weight max(N - 3, 1) and X / D as one series division (the
@@ -606,9 +569,7 @@ def hg_trivariate(g: int, order: int) -> TSeries:
     num = 1 - e1
     den = square + (1 - e1) * e2 + e3
     if g > 0:
-        num = 1 - e1 + e2 - e3
-        if g == 2:
-            num = num * _evaluate(_elementary_form(PLANAR_BRACKET_POLY), e1, e2, e3)
+        num = (1 - e1 + e2 - e3) * _evaluate(GENUS_NUMERATOR_E[g], e1, e2, e3)
         den = den * (square - 4 * e3) ** (5 * g - 3)
     quotient = (num / den).parts
     shifted = [{}, {}, {}] + [{(a, b, c + 1): v for (a, b, c), v in part.items()}

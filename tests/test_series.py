@@ -20,13 +20,13 @@ from hypermap_census import (
 from hypermap_census.cli import DEEP_MAX_DARTS, DEFAULT_MAX_DARTS
 from hypermap_census.series import (
     MAX_UNIVARIATE_GENUS,
-    _elementary_form,
     _elementary_of_symmetric,
     _expand_symmetric,
     _rational_at,
 )
 from hypermap_census.series import _poly_product as poly_product
 from hypermap_census.series_data import (
+    GENUS_NUMERATOR_E,
     GENUS_NUMERATOR_T,
     GENUS_NUMERATOR_TAU,
     PLANAR_BRACKET_POLY,
@@ -291,21 +291,22 @@ def test_elementary_series_expand_to_the_parameter_sums():
         assert e3 == p * q * r, order
 
 
-def test_genus_two_numerator_in_elementary_form_expands_back():
+# each numerator P_g in the parameters p, q, r; a symmetric polynomial has
+# exactly one form in E1, E2, E3, so expanding back checks every term
+NUMERATOR_PQR = {1: {(0, 0, 0): 1}, 2: dict(PLANAR_BRACKET_POLY)}
+
+
+@pytest.mark.parametrize("g", sorted(GENUS_NUMERATOR_E))
+def test_numerator_in_elementary_form_expands_back(g):
     total = {}
-    for exponents, coef in _elementary_form(PLANAR_BRACKET_POLY).items():
+    for exponents, coef in GENUS_NUMERATOR_E[g]:
         term = {(0, 0, 0): coef}
         for factor, n in zip(ELEMENTARY_PQR, exponents):
             for _ in range(n):
                 term = _poly_product(term, factor)
         for key, v in term.items():
             total[key] = total.get(key, 0) + v
-    assert {key: v for key, v in total.items() if v} == dict(PLANAR_BRACKET_POLY)
-
-
-def test_elementary_form_rejects_an_asymmetric_polynomial():
-    with pytest.raises(ValueError):
-        _elementary_form([((1, 0, 0), 1)])
+    assert {key: v for key, v in total.items() if v} == NUMERATOR_PQR[g]
 
 
 def test_trivariate_rejects_unavailable_genus():
