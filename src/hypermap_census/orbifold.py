@@ -15,7 +15,16 @@ L).  The Riemann-Hurwitz relation
 says which signatures can occur for genus G, and the number of period-L
 automorphisms per signature is the number of epimorphisms from the orbifold's
 fundamental group onto the cyclic group Z_L that map each branch generator to
-an element of exact order L/orbit_length (:func:`epi0`).
+an element of exact order L/orbit_length (:func:`epi0`).  Moebius inversion
+over the subgroups Z_l of Z_L and a character sum over each Z_l give it as
+
+    epi0 = sum over l | L of mu(L/l) * l**(2g) * C_l,
+    C_l  = (1/l) * sum over d | l of phi(l/d) * prod over m of c_m(d)**k_m,
+
+for k_m branch points of order m (C_l = 0 unless every m divides l), where
+the Ramanujan sum c_m(d) = mu(m/h) * phi(m) / phi(m/h), h = gcd(m, d), has
+von Sterneck's closed form.  The divisors, mu, phi and the factorials come
+from one arithmetic table that :func:`sensed_table` builds per call.
 
 The accumulation then runs over quotient data.  A quotient with w vertices,
 b hyperedges, f faces and d darts lifts to E = L*d darts.  A split puts w_i
@@ -63,26 +72,33 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations
-from math import comb, factorial, gcd
+from math import comb, gcd
 
 from .core import CountTable, InexactDivisionError, NotFilledError
 from .rooted import RootedCensus
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+_Arithmetic = namedtuple("_Arithmetic", "divisors mobius totient factorials")
 
 
-def _mobius(n: int) -> int:
-    m, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            m = -m
-        p += 1
-    return -m if n > 1 else m
+def _arithmetic(n: int) -> _Arithmetic:
+    """Divisors (ascending), Moebius mu and Euler phi of 0..n, indexed by the
+    number, and the factorials 0! .. (n // 2 + 2)!: the most branch points a
+    signature of period >= 2 within n darts has.  mu and phi come from the
+    divisor sums sum(mu(d)) = [m == 1] and sum(phi(d)) = m over d | m."""
+    divisors = [[] for _ in range(n + 1)]
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            divisors[m].append(d)
+    mobius, totient = [0] * (n + 1), [0] * (n + 1)
+    for m in range(1, n + 1):
+        proper = divisors[m][:-1]
+        mobius[m] = (m == 1) - sum(mobius[d] for d in proper)
+        totient[m] = m - sum(totient[d] for d in proper)
+    factorials = [1]
+    for k in range(1, n // 2 + 3):
+        factorials.append(factorials[-1] * k)
+    return _Arithmetic(divisors, mobius, totient, factorials)
 
 
 class OrbifoldSignature(namedtuple("OrbifoldSignature",
@@ -126,15 +142,17 @@ def admissible_signatures(G: int, L: int) -> list[OrbifoldSignature]:
     """
     if G < 0 or L < 1:
         raise ValueError("need genus >= 0 and period >= 1")
-    return _signatures(G, L, None)
+    return _signatures(G, L, None, _arithmetic(L))
 
 
-def _signatures(G: int, L: int, top: int | None) -> list[OrbifoldSignature]:
+def _signatures(G: int, L: int, top: int | None,
+                arith: _Arithmetic) -> list[OrbifoldSignature]:
     """:func:`admissible_signatures`, or with ``top`` only those whose quotient
     fits in ``top`` darts: max(Q, 3) + 2g - 2 <= top for Q branch points.  The
-    cap on Q is applied while the multisets are enumerated."""
+    cap on Q is applied while the multisets are enumerated.  The divisors of
+    L come from ``arith``, a table reaching at least L."""
     sigs = []
-    parts = sorted((L - l for l in _divisors(L) if l < L), reverse=True)
+    parts = [L - l for l in arith.divisors[L][:-1]]    # descending
     # max(Q, 3) <= top + 2 - 2g needs 2g + 1 <= top
     last = G if top is None else min(G, (top - 1) // 2)
     for g in range(last + 1):
@@ -179,49 +197,67 @@ def epi0(sig: OrbifoldSignature) -> int:
         epi0 = sum over l | L of  mu(L/l) * l**(2g) * C_l
 
     where C_l counts tuples in Z_l with the exact prescribed orders and zero
-    sum, computed by convolving the indicator vector of each order class.
+    sum (zero unless every order m divides l).  By character orthogonality C_l
+    is (1/l) times the sum over the characters j of Z_l of the product, over
+    the branch points, of the sum of e(j x / l) over the x of order m, which
+    is the Ramanujan sum c_m(j).  It depends on j only through
+    d = gcd(j, l), shared by phi(l/d) characters, so
+
+        C_l = (1/l) * sum over d | l of  phi(l/d) * prod over m of c_m(d)**k_m
+
+    for k_m branch points of order m, with von Sterneck's closed form
+    c_m(d) = mu(m/h) * phi(m) / phi(m/h), h = gcd(m, d).  The division by l
+    is checked to be exact.  The divisors, mu and phi come from one table
+    built for L (:func:`sensed_table` builds one per call and shares it).
     """
+    return _epi0(sig, _arithmetic(sig.period))
+
+
+def _epi0(sig: OrbifoldSignature, arith: _Arithmetic) -> int:
     L = sig.period
-    orders = sig.branch_indices
+    divisors, mobius, totient = arith.divisors, arith.mobius, arith.totient
+    orders: dict[int, int] = {}    # branch index m -> k_m
+    for length in sig.orbit_lengths:
+        m = L // length
+        orders[m] = orders.get(m, 0) + 1
     total = 0
-    for l in _divisors(L):
-        mu = _mobius(L // l)
+    for l in divisors[L]:
+        mu = mobius[L // l]
         if mu == 0 or any(l % m for m in orders):
             continue
-        total += mu * l ** (2 * sig.quotient_genus) * _zero_sum_tuples(l, orders)
+        chars = 0
+        for d in divisors[l]:
+            term = totient[l // d]
+            for m, k in orders.items():
+                mh = m // gcd(m, d)    # m / h
+                c = mobius[mh]
+                if c == 0:
+                    break
+                term *= (c * totient[m] // totient[mh]) ** k
+            else:
+                chars += term
+        C, r = divmod(chars, l)
+        if r:
+            raise InexactDivisionError(
+                f"character sum {chars} for {sig} not divisible by {l}")
+        total += mu * l ** (2 * sig.quotient_genus) * C
     return total
 
 
-def _zero_sum_tuples(l: int, orders: tuple[int, ...]) -> int:
-    vec = [0] * l
-    vec[0] = 1
-    for m in orders:
-        step = l // m
-        nxt = [0] * l
-        for k in range(1, m + 1):
-            if gcd(k, m) == 1:
-                x = step * k % l
-                for i in range(l):
-                    if vec[i]:
-                        nxt[(i + x) % l] += vec[i]
-        vec = nxt
-    return vec[0]
-
-
-def _branch_distributions(orbit_lengths: tuple[int, ...]) -> list:
+def _branch_distributions(orbit_lengths: tuple[int, ...], factorials) -> list:
     """Split the branch points among vertex, hyperedge and face cells.  Branch
     points of one orbit length are indistinguishable, so the q branch points
     of each orbit length i split once as q = w_i + b_i + f_i.  One entry per
     split: the branch points per cell kind, (sw, sb, sf) = (sum(w_i),
     sum(b_i), sum(f_i)); the lifted cells they make, (Wb, Bb, Fb) =
     (sum(i * w_i), sum(i * b_i), sum(i * f_i)); and the product of
-    w_i! * b_i! * f_i! over the lengths."""
+    w_i! * b_i! * f_i! over the lengths, read from ``factorials``."""
     splits = [((0, 0, 0), (0, 0, 0), 1)]
     for i in sorted(set(orbit_lengths)):
         q = orbit_lengths.count(i)
         splits = [((sw + wi, sb + bi, sf + fi),
                    (Wb + i * wi, Bb + i * bi, Fb + i * fi),
-                   prod * factorial(wi) * factorial(bi) * factorial(fi))
+                   prod * factorials[wi] * factorials[bi] * factorials[fi])
                   for (sw, sb, sf), (Wb, Bb, Fb), prod in splits
                   for wi in range(q + 1)
                   for bi in range(q - wi + 1)
@@ -267,11 +303,15 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     are >= 1, and B = L*B' + Bb is 0 when b = B' + sb is (likewise W).  One
     table of binomials C(n, k), for n <= max_darts + 2 quotient cells and
     k <= max_darts // 2 + 2 branch points (the most a period L >= 2
-    admits), is built per call; a split's constant
-    sw! sb! sf! / prod(w_i! b_i! f_i!) joins epi0 once per split, and the
-    face binomial once per F'.  Each canonical total is checked
-    for exact division by E; its quotient is then stored at every
-    permutation of (W, B, F), and :class:`CountTable` checks each row.
+    admits), is built per call, and beside it one arithmetic table: the
+    divisors, Moebius mu and Euler phi of 1..max_darts, and the factorials
+    up to that branch-point bound.  The signatures take the divisors of L
+    from it, epi0 is the character sum of :func:`epi0` over it, and a
+    split's constant sw! sb! sf! / prod(w_i! b_i! f_i!) is read from its
+    factorials and joins epi0 once per split, the face binomial once per
+    F'.  Each canonical total is checked for exact division by E; its
+    quotient is then stored at every permutation of (W, B, F), and
+    :class:`CountTable` checks each row.
     """
     if G < 0 or max_darts < 1:
         raise ValueError("need genus >= 0 and max_darts >= 1")
@@ -281,10 +321,12 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     quotients: dict[int, list] = {}
     binoms = [[comb(n, k) for n in range(max_darts + 3)]
               for k in range(max_darts // 2 + 3)]
+    arith = _arithmetic(max_darts)
+    fact = arith.factorials
     for L in range(1, max_darts + 1):
         top = max_darts // L
-        for sig in _signatures(G, L, top):
-            weight0 = epi0(sig)
+        for sig in _signatures(G, L, top, arith):
+            weight0 = _epi0(sig, arith)
             if weight0 == 0:
                 continue
             g = sig.quotient_genus
@@ -292,7 +334,7 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                 quotients[g] = [None] + [rooted.coefficients(g, d)
                                          for d in range(1, top + 1)]
             cells = quotients[g]
-            for (sw, sb, sf), (Wb, Bb, Fb), prod in _branch_distributions(sig.orbit_lengths):
+            for (sw, sb, sf), (Wb, Bb, Fb), prod in _branch_distributions(sig.orbit_lengths, fact):
                 c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
                 c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
                 shift = 2 * g - 2 + sw + sb + sf    # d - rest
@@ -304,7 +346,7 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                             shift + b0, shift + 2 * b0 + c_wb)
                 if first > top:
                     continue
-                weight = weight0 * factorial(sw) * factorial(sb) * factorial(sf) // prod
+                weight = weight0 * fact[sw] * fact[sb] * fact[sf] // prod
                 mw, mb, mf = binoms[sw], binoms[sb], binoms[sf]
                 for d in range(first, top + 1):
                     row, coeff = cells[d]

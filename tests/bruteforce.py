@@ -137,6 +137,49 @@ def epi_count_by_tuples(period: int, quotient_genus: int, orbit_lengths) -> int:
     return total
 
 
+def epi_count_by_convolution(period: int, quotient_genus: int, orbit_lengths) -> int:
+    """Surjection count onto Z_period by Moebius inversion over the divisor
+    lattice, each subgroup's zero-sum tuples counted by convolution.
+
+    For each l | period whose subgroup Z_l holds every prescribed order, the
+    indicator vector of the elements of each branch order is convolved into
+    the running distribution of sums over Z_l, and its value at 0 counts the
+    zero-sum tuples; the 2g handle generators map anywhere in Z_l.
+    """
+    L = period
+    orders = [L // l for l in orbit_lengths]
+    total = 0
+    for l in range(1, L + 1):
+        mu = _mobius(L // l) if L % l == 0 else 0
+        if mu == 0 or any(l % m for m in orders):
+            continue
+        vec = [1] + [0] * (l - 1)
+        for m in orders:
+            step = l // m
+            nxt = [0] * l
+            for k in range(1, m + 1):
+                if gcd(k, m) == 1:
+                    x = step * k % l
+                    for i in range(l):
+                        if vec[i]:
+                            nxt[(i + x) % l] += vec[i]
+            vec = nxt
+        total += mu * l ** (2 * quotient_genus) * vec[0]
+    return total
+
+
+def _mobius(n: int) -> int:
+    m, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            m = -m
+        p += 1
+    return -m if n > 1 else m
+
+
 def signatures_by_search(G: int, L: int) -> set:
     """Admissible (quotient_genus, orbit_lengths) pairs by unstructured search."""
     proper = [d for d in range(1, L) if L % d == 0]

@@ -38,7 +38,7 @@ def _isolated_cache(tmp_path, monkeypatch):
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("HYPERMAP_DEEP"):
         return
-    skip = pytest.mark.skip(reason="extended-bounds smoke test; set HYPERMAP_DEEP=1")
+    skip = pytest.mark.skip(reason="slow test at extended bounds; set HYPERMAP_DEEP=1")
     for item in items:
         if "deep" in item.keywords:
             item.add_marker(skip)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from hypermap_census import (
+    InexactDivisionError,
     NotFilledError,
     OrbifoldSignature,
     RootedCensus,
@@ -12,8 +13,8 @@ from hypermap_census import (
     faces_from_key,
     sensed_table,
 )
-from hypermap_census.orbifold import _branch_distributions, _signatures
-from bruteforce import epi_count_by_tuples, signatures_by_search
+from hypermap_census.orbifold import _arithmetic, _branch_distributions, _epi0, _signatures
+from bruteforce import epi_count_by_convolution, epi_count_by_tuples, signatures_by_search
 
 
 def as_pairs(sigs):
@@ -78,6 +79,27 @@ def test_epi0_against_tuple_enumeration():
                     sig.period, sig.quotient_genus, sig.orbit_lengths), sig
                 checked += 1
     assert checked > 40
+
+
+def test_epi0_checks_its_division_by_the_subgroup_order():
+    # phi(4) misread as 3 leaves the character sum 18 over Z_4
+    arith = _arithmetic(4)
+    bad = arith._replace(totient=arith.totient[:4] + [3])
+    with pytest.raises(InexactDivisionError):
+        _epi0(OrbifoldSignature(4, 0, (1, 1, 2)), bad)
+
+
+@pytest.mark.deep
+def test_epi0_against_divisor_lattice_convolution():
+    """The character sum equals the convolution over each subgroup's elements
+    on every signature sensed_table enumerates at the --deep caps."""
+    checked = 0
+    for G in range(25):
+        for L in range(1, 51):
+            for sig in _signatures(G, L, 50 // L, _arithmetic(L)):
+                assert epi0(sig) == epi_count_by_convolution(*sig), sig
+                checked += 1
+    assert checked == 2413
 
 
 @pytest.mark.parametrize("G,key,expected", [
@@ -150,8 +172,9 @@ def test_capped_signatures_are_the_admissible_ones_that_fit():
     for G in range(15):
         for L in range(1, 51):
             uncapped = admissible_signatures(G, L)
+            arith = _arithmetic(L)
             for top in range(50 // L + 1):
-                assert _signatures(G, L, top) == [
+                assert _signatures(G, L, top, arith) == [
                     sig for sig in uncapped
                     if max(len(sig.orbit_lengths), 3) + 2 * sig.quotient_genus - 2 <= top]
 
@@ -199,7 +222,7 @@ def test_branch_points_of_one_length_split_once(orbit_lengths):
     split among vertices, hyperedges and faces in C(q + 2, 2) ways, each once,
     and the multinomials q! / (w_i! b_i! f_i!) over all splits add up to the
     3**Q ways to place Q distinguishable points."""
-    splits = _branch_distributions(orbit_lengths)
+    splits = _branch_distributions(orbit_lengths, _arithmetic(10).factorials)
     qs = [orbit_lengths.count(i) for i in set(orbit_lengths)]
     assert len(splits) == math.prod((q + 1) * (q + 2) // 2 for q in qs)
     qs_factorial = math.prod(math.factorial(q) for q in qs)

@@ -255,6 +255,31 @@ def test_series_equal_fill_totals_at_the_cli_dart_caps(max_darts):
         assert hg_via_t(g, max_darts).parts == totals, g
 
 
+@pytest.mark.parametrize("max_darts,cells", [
+    (30, 12_296), pytest.param(50, 58_996, marks=pytest.mark.deep)])
+def test_trivariate_series_equal_every_genus_0_to_2_cell(max_darts, cells):
+    """Every (v, e, f) cell of genus g <= 2 with at most max_darts darts,
+    zero cells included, is its coefficient in the refined series taken to
+    the cells' largest total degree max_darts + 2 - 2g, and the series has
+    no nonzero term off those cells."""
+    census = RootedCensus(2, max_darts)
+    checked = 0
+    for g in range(3):
+        top = max_darts + 2 - 2 * g
+        tri = hg_trivariate(g, top)
+        keys = set()
+        for n in range(3, top + 1):     # n = v + e + f = darts + 2 - 2g
+            for v in range(1, n - 1):
+                for e in range(1, n - v):
+                    f = n - v - e
+                    keys.add((v, e, f))
+                    assert tri.coefficient(v, e, f) == \
+                        census.count(g, n - 2 + 2 * g, v, e, f), (g, v, e, f)
+        assert {key for key, c in tri.d.items() if c} <= keys, g
+        checked += len(keys)
+    assert checked == cells
+
+
 @pytest.mark.parametrize("build,genera", [
     (hg_univariate, range(7)),
     (hg_via_t, range(7)),
