@@ -27,21 +27,29 @@ polynomials are symmetric.  So the fill computes the right-hand side only at
 canonical keys f >= b >= w; with w = deg - f - b the test b >= w reads
 f + 2b >= deg.
 
-Each of the four terms is a coefficient times a product of two polynomials,
-each given as a pair (slot keys, coefficients), s1, s2 and 1 included, so
-the fill lists (coefficient, p1, p2) terms and one kernel,
-:func:`_add_product`, multiplies them and holds the only canonical-key test.
-The convolution lists each unordered factor pair {(i, j), (g-i, d-2-j)}
-once: the two orders multiply the same polynomials, so their weights merge
-into (4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to
-its mirror keeps (4+6j) * j'.
+Each of the four terms is a coefficient times a product of two factors.
+The recurrence is stated once, in :meth:`RootedCensus._recurrence`, which
+lists one cell's right-hand side as (coefficient, factor, factor) terms, a
+factor being a cell key (i, j) or one of the fixed factors s1, s2 and 1
+(:data:`S1`, :data:`S2`, :data:`ONE`).  The fill resolves each factor to a
+pair (slot keys, coefficients), and one kernel, :func:`_add_product`,
+multiplies the pairs and holds the only canonical-key test.  The
+convolution lists each unordered factor pair {(i, j), (g-i, d-2-j)} once:
+the two orders multiply the same polynomials, so their weights merge into
+(4+6j) * j' + (4+6j') * j = 4(d-2) + 12 * j * j', while a pair equal to its
+mirror keeps (4+6j) * j'.
 
 :meth:`RootedCensus._store` checks each canonical value (nonnegative, exactly
 divisible by d+1, and inside the support) and only then copies the quotient
 to every permutation of its triple.  A copy has the same value, so it passes
 the first two checks when the canonical value does.  It also passes the
 third: at f >= b >= w the vertex exponent w is the smallest, so w >= 1 puts
-all three exponents, in any order, at >= 1.
+all three exponents, in any order, at >= 1.  A cell with d >= 2g+1 that
+comes out empty raises :class:`~hypermap_census.core.CensusError`, because a
+genus-g hypermap exists at every such d: at n = 2g+1 darts, sigma an n-cycle
+and alpha = sigma^-2 make sigma, alpha and sigma * alpha three n-cycles, and
+a new degree-1 hyperedge adds a dart and keeps the genus.  So a term that
+went missing cannot empty a whole genus silently.
 
 A stored cell is one tuple of coefficients, one slot for every (f, b) with
 f, b, w >= 1 in the cell's degree, row by row in f and by b within a row.
@@ -54,6 +62,7 @@ does not rely on that: a zero slot is stored as 0 and skipped on export.
 from __future__ import annotations
 
 from .core import (
+    CensusError,
     CountTable,
     InexactDivisionError,
     NegativeCoefficientError,
@@ -148,29 +157,40 @@ class RootedCensus:
 
     # -- fill ---------------------------------------------------------------
 
+    def _recurrence(self, g: int, d: int) -> list[tuple]:
+        """The right-hand side of (d+1) * P[g,d] as (coefficient, factor,
+        factor) terms.  A factor is a cell key (i, j), standing for P[i,j]
+        (zero when the census holds no such cell), or one of the fixed
+        factors S1, S2 and ONE.  Each unordered convolution pair is listed
+        once, with the weights of its two orders merged."""
+        terms = [(2 * d - 1, S1, (g, d - 1)),
+                 (d - 2, S2, (g, d - 2)),
+                 ((d - 1) * (d - 1) * (d - 2), ONE, (g - 1, d - 2))]
+        # each unordered pair {(i, j), (g-i, d-2-j)} once
+        for i in range(0, g + 1):
+            for j in range(1, d - 2):
+                i2, j2 = g - i, d - 2 - j
+                if (i, j) < (i2, j2):
+                    c = 4 * (d - 2) + 12 * j * j2
+                elif (i, j) == (i2, j2):
+                    c = (4 + 6 * j) * j2
+                else:
+                    continue
+                terms.append((c, (i, j), (i2, j2)))
+        return terms
+
     def _fill(self) -> None:
         cells, slots = self._cells, self._slots
-        # the filled cells as (slot keys, coefficients) pairs, for _add_product
-        factors = {(0, 1): (slots[3][0], cells[0, 1])}
+        # every factor a term can name, as a (slot keys, coefficients) pair
+        # for _add_product: a fixed factor stands for itself, a cell key for
+        # its filled cell, and a key not in here for the zero polynomial
+        factors = {S1: S1, S2: S2, ONE: ONE, (0, 1): (slots[3][0], cells[0, 1])}
         for d in range(2, self.max_darts + 1):
             for g in range(0, self.max_genus + 1):
-                terms = [(2 * d - 1, S1, factors.get((g, d - 1))),
-                         (d - 2, S2, factors.get((g, d - 2))),
-                         ((d - 1) * (d - 1) * (d - 2), ONE, factors.get((g - 1, d - 2)))]
-                # each unordered pair {(i, j), (g-i, d-2-j)} once
-                for i in range(0, g + 1):
-                    for j in range(1, d - 2):
-                        i2, j2 = g - i, d - 2 - j
-                        if (i, j) < (i2, j2):
-                            c = 4 * (d - 2) + 12 * j * j2
-                        elif (i, j) == (i2, j2):
-                            c = (4 + 6 * j) * j2
-                        else:
-                            continue
-                        terms.append((c, factors.get((i, j)), factors.get((i2, j2))))
                 deg = d + 2 - 2 * g
                 rhs: dict[tuple[int, int], int] = {}
-                for c, p1, p2 in terms:
+                for c, k1, k2 in self._recurrence(g, d):
+                    p1, p2 = factors.get(k1), factors.get(k2)
                     if p1 and p2:
                         _add_product(rhs, c, p1, p2, deg)
                 self._store(g, d, rhs)
@@ -179,7 +199,8 @@ class RootedCensus:
 
     def _store(self, g: int, d: int, rhs: dict) -> None:
         """Check each canonical value of (d+1) * P[g,d] in ``rhs``, then store
-        its quotient at every permutation of its triple."""
+        its quotient at every permutation of its triple; raise if the cell
+        comes out empty at d >= 2g+1."""
         deg = d + 2 - 2 * g
         div = d + 1
         out = None
@@ -207,6 +228,10 @@ class RootedCensus:
             out[rf + b] = out[rf + w] = out[rb + f] = out[rb + w] = out[rw + f] = out[rw + b] = q
         if out is not None:
             self._cells[g, d] = tuple(out)
+        elif d >= 2 * g + 1:
+            raise CensusError(
+                f"no nonzero coefficient at g={g} d={d}, where genus-{g} hypermaps exist"
+            )
 
     # -- queries ------------------------------------------------------------
 

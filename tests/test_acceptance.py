@@ -153,6 +153,7 @@ def test_criterion_7_property_suite(census14, sensed_tables, seq):
 
 def _recheck_recurrence(census, max_genus, max_darts):
     """Recompute (d+1) * P[g,d] from the stored lower polynomials."""
+    # restates the recurrence on purpose: never call RootedCensus._recurrence
     def poly_dict(g, d):
         if g < 0 or d < 1:
             return {}

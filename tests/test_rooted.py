@@ -1,11 +1,11 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
 
-from hypermap_census import (InexactDivisionError, NegativeCoefficientError,
-                              NotFilledError, RootedCensus)
-from hypermap_census.rooted import ONE, S1, S2, _add_product
+from hypermap_census import (CensusError, InexactDivisionError,
+                              NegativeCoefficientError, NotFilledError, RootedCensus)
 from bruteforce import hypermap_census_by_pairs
 
 
@@ -102,6 +102,10 @@ def test_store_checks_canonical_values_then_copies_them():
     with pytest.raises(NegativeCoefficientError, match="outside support"):
         census._store(0, 4, {(3, 3): 10})   # w = 0
     assert census.poly(0, 4).is_zero()
+    with pytest.raises(CensusError, match="no nonzero coefficient"):
+        census._store(0, 4, {(3, 2): 0})    # a genus-0 hypermap has 4 darts
+    assert census.poly(0, 4).is_zero()
+    census._store(1, 2, {})     # but no genus-1 hypermap has 2
     census._store(0, 4, {(3, 2): 10, (2, 2): 0})
     for v, e, f in itertools.permutations((3, 2, 1)):
         assert census.count(0, 4, v, e, f) == 2
@@ -169,56 +173,62 @@ def test_against_dart_level_enumeration():
                         (g, t, v, e, f)
 
 
+def _cell(factor):
+    """Whether a factor of ``RootedCensus._recurrence`` is a cell key (i, j)."""
+    return isinstance(factor[0], int)
+
+
+# each slip rewrites the terms of (d+1) * P[g,d] that _recurrence lists; the
+# s2 and handle terms are the ones that name P[g,d-2] and P[g-1,d-2]
+_SLIPS = {
+    "s2 coefficient d-1": lambda g, d, terms: [
+        (d - 1 if k2 == (g, d - 2) else c, k1, k2) for c, k1, k2 in terms],
+    "handle coefficient": lambda g, d, terms: [
+        (d * (d - 1) * (d - 2) if k2 == (g - 1, d - 2) else c, k1, k2) for c, k1, k2 in terms],
+    "unsymmetrised weight": lambda g, d, terms: [
+        ((4 + 6 * k1[1]) * k2[1] if _cell(k1) and k1 < k2 else c, k1, k2) for c, k1, k2 in terms],
+    "dropped j = 1": lambda g, d, terms: [
+        t for t in terms if not (_cell(t[1]) and t[1][1] == 1)],
+    "s2 term dropped": lambda g, d, terms: [
+        t for t in terms if t[2] != (g, d - 2)],
+    "handle reads P[g-1,d-1]": lambda g, d, terms: [
+        (c, k1, (g - 1, d - 1) if k2 == (g - 1, d - 2) else k2) for c, k1, k2 in terms],
+    "mirror-pair weight doubled": lambda g, d, terms: [
+        (2 * c if k1 == k2 else c, k1, k2) for c, k1, k2 in terms],
+    "handle term dropped": lambda g, d, terms: [
+        t for t in terms if t[2] != (g - 1, d - 2)],
+}
+
+
 class _SlippedCensus(RootedCensus):
-    """``RootedCensus`` whose ``_fill`` is a copy with at most one slip in it."""
+    """``RootedCensus`` whose recurrence has at most one slip in it."""
 
     def __init__(self, slip, max_genus, max_darts):
         self.slip = slip
         super().__init__(max_genus, max_darts)
 
-    def _fill(self) -> None:
-        cells, slots, slip = self._cells, self._slots, self.slip
-        factors = {(0, 1): (slots[3][0], cells[0, 1])}
-        for d in range(2, self.max_darts + 1):
-            for g in range(0, self.max_genus + 1):
-                s2 = d - 1 if slip == "s2 coefficient d-1" else d - 2
-                handle = d if slip == "handle coefficient" else d - 1
-                terms = [(2 * d - 1, S1, factors.get((g, d - 1))),
-                         (s2, S2, factors.get((g, d - 2))),
-                         (handle * (d - 1) * (d - 2), ONE, factors.get((g - 1, d - 2)))]
-                for i in range(0, g + 1):
-                    for j in range(1 + (slip == "dropped j = 1"), d - 2):
-                        i2, j2 = g - i, d - 2 - j
-                        if (i, j) < (i2, j2) and slip != "unsymmetrised weight":
-                            c = 4 * (d - 2) + 12 * j * j2
-                        elif (i, j) <= (i2, j2):
-                            c = (4 + 6 * j) * j2
-                        else:
-                            continue
-                        terms.append((c, factors.get((i, j)), factors.get((i2, j2))))
-                deg = d + 2 - 2 * g
-                rhs: dict[tuple[int, int], int] = {}
-                for c, p1, p2 in terms:
-                    if p1 and p2:
-                        _add_product(rhs, c, p1, p2, deg)
-                self._store(g, d, rhs)
-                if (g, d) in cells:
-                    factors[g, d] = (slots[deg][0], cells[g, d])
+    def _recurrence(self, g, d):
+        terms = super()._recurrence(g, d)
+        return _SLIPS[self.slip](g, d, terms) if self.slip else terms
 
 
-@pytest.mark.deep
-def test_slip_free_copy_of_the_fill_matches():
-    assert _SlippedCensus(None, 10, 30)._cells == RootedCensus(10, 30)._cells
+def test_slip_free_recurrence_fills_the_same_cells():
+    assert _SlippedCensus(None, 6, 20)._cells == RootedCensus(6, 20)._cells
 
 
-@pytest.mark.deep
-@pytest.mark.parametrize("slip,error", [
-    ("s2 coefficient d-1", InexactDivisionError),
-    ("handle coefficient", InexactDivisionError),
-    ("unsymmetrised weight", InexactDivisionError),
-    ("dropped j = 1", InexactDivisionError),
+@pytest.mark.parametrize("slip,error,g,d", [
+    ("s2 coefficient d-1", InexactDivisionError, 0, 3),
+    ("handle coefficient", InexactDivisionError, 1, 3),
+    ("unsymmetrised weight", InexactDivisionError, 0, 5),
+    ("dropped j = 1", InexactDivisionError, 0, 6),
+    ("s2 term dropped", InexactDivisionError, 0, 3),
+    ("handle reads P[g-1,d-1]", NegativeCoefficientError, 1, 3),   # outside support
+    ("mirror-pair weight doubled", InexactDivisionError, 0, 6),
+    ("handle term dropped", CensusError, 1, 3),     # genus >= 1 comes out empty
 ])
-def test_fill_checks_catch_each_slip(slip, error):
+def test_fill_checks_catch_each_slip(slip, error, g, d):
     with pytest.raises(error) as caught:
         _SlippedCensus(slip, 10, 30)
+    assert caught.type is error
     assert caught.traceback[-1].name == "_store"
+    assert re.search(rf"\bg={g} d={d}\b", str(caught.value))
