@@ -8,7 +8,10 @@ of a quotient hypermap of some genus g, except at branch points, cells whose
 orbit under the automorphism is shorter than L.  An automorphism class is
 described by an :class:`OrbifoldSignature`: the period L, the quotient genus
 g and the multiset of branch-point orbit lengths (each a proper divisor of
-L).  The Riemann-Hurwitz relation
+L).  The sum holds it as (g, branch): ``branch`` is a tuple of (orbit
+length, count) pairs, ascending in length, and only the public
+:func:`admissible_signatures` and :func:`epi0` convert to and from
+:class:`OrbifoldSignature`.  The Riemann-Hurwitz relation
 
     2 - 2G = L * (2 - 2g)  -  sum over branch points of (L - orbit_length)
 
@@ -23,17 +26,19 @@ over the subgroups Z_l of Z_L and a character sum over each Z_l give it as
 
 for k_m branch points of order m (C_l = 0 unless every m divides l), where
 the Ramanujan sum c_m(d) = mu(m/h) * phi(m) / phi(m/h), h = gcd(m, d), has
-von Sterneck's closed form.  The divisors, mu, phi and the factorials come
-from one arithmetic table that :func:`sensed_table` builds per call.
+von Sterneck's closed form.  The divisors, mu and phi come from one
+arithmetic table that :func:`sensed_table` builds per call.
 
 The accumulation then runs over quotient data.  A quotient with w vertices,
 b hyperedges, f faces and d darts lifts to E = L*d darts.  A split puts w_i
 of the branch points of orbit length i on vertices, sw = sum(w_i) in all,
 and likewise b_i and f_i.  Choosing the sw vertices that carry branch points
-gives a binomial C(w, sw), and handing them their orbit lengths gives the
-constant sw! / prod(w_i!), so the weight of the split is
+gives a binomial C(w, sw), and handing them their orbit lengths gives
+sw! / prod(w_i!), the product of C(w_1 + ... + w_i, w_i) over the lengths i
+in ascending order.  So the weight of the split is
 
-    C(w, sw) * C(b, sb) * C(f, sf) * sw! sb! sf! / prod(w_i! b_i! f_i!)
+    C(w, sw) * C(b, sb) * C(f, sf) * ways,
+    ways = sw! sb! sf! / prod(w_i! b_i! f_i!), a product of binomials,
 
 and its lifted cell counts are W = sum(i * w_i) over orbit lengths i (with
 unbranched cells counting at length L), likewise B and F.  Summing
@@ -61,7 +66,7 @@ quotient of genus g with d darts has d + 2 - 2g cells, each carrying at most
 one branch point.  So :func:`sensed_table` enumerates the signatures of
 period L with that cap applied during the enumeration: a multiset of orbit
 lengths stops growing once it holds E // L + 2 - 2g entries.
-:func:`admissible_signatures` is the same enumeration without the cap.
+:func:`admissible_signatures` is the same enumeration at a cap that never binds.
 
 Quotients of hypermaps never contain half-darts (in bipartite-map language a
 dangling semi-edge would join two like-coloured vertices), so unlike the
@@ -78,14 +83,13 @@ from .core import CountTable, InexactDivisionError, NotFilledError
 from .rooted import RootedCensus
 
 
-_Arithmetic = namedtuple("_Arithmetic", "divisors mobius totient factorials")
+_Arithmetic = namedtuple("_Arithmetic", "divisors mobius totient")
 
 
 def _arithmetic(n: int) -> _Arithmetic:
     """Divisors (ascending), Moebius mu and Euler phi of 0..n, indexed by the
-    number, and the factorials 0! .. (n // 2 + 2)!: the most branch points a
-    signature of period >= 2 within n darts has.  mu and phi come from the
-    divisor sums sum(mu(d)) = [m == 1] and sum(phi(d)) = m over d | m."""
+    number.  mu and phi come from the divisor sums sum(mu(d)) = [m == 1] and
+    sum(phi(d)) = m over d | m."""
     divisors = [[] for _ in range(n + 1)]
     for d in range(1, n + 1):
         for m in range(d, n + 1, d):
@@ -95,26 +99,26 @@ def _arithmetic(n: int) -> _Arithmetic:
         proper = divisors[m][:-1]
         mobius[m] = (m == 1) - sum(mobius[d] for d in proper)
         totient[m] = m - sum(totient[d] for d in proper)
-    factorials = [1]
-    for k in range(1, n // 2 + 3):
-        factorials.append(factorials[-1] * k)
-    return _Arithmetic(divisors, mobius, totient, factorials)
+    return _Arithmetic(divisors, mobius, totient)
 
 
 class OrbifoldSignature(namedtuple("OrbifoldSignature",
                                    "period quotient_genus orbit_lengths")):
     """One automorphism class: period, quotient genus, branch orbit lengths.
 
-    Orbit lengths are the stored representation; the branch index of a branch
-    point is period // orbit_length (always >= 2).
+    Every field is an ``int`` (not a ``bool``), and every orbit length l is a
+    proper divisor of the period, 0 < l < period; the branch index of a
+    branch point is period // orbit_length (always >= 2).
     """
 
     __slots__ = ()
 
     def __new__(cls, period: int, quotient_genus: int, orbit_lengths: tuple[int, ...]):
-        if period < 1 or quotient_genus < 0:
-            raise ValueError("need period >= 1 and quotient genus >= 0")
-        if any(period % l or l >= period for l in orbit_lengths):
+        if type(period) is not int or type(quotient_genus) is not int \
+                or period < 1 or quotient_genus < 0:
+            raise ValueError("need integers period >= 1 and quotient genus >= 0")
+        if any(type(l) is not int or not 0 < l < period or period % l
+               for l in orbit_lengths):
             raise ValueError(f"orbit lengths must be proper divisors of {period}")
         return super().__new__(cls, period, quotient_genus, orbit_lengths)
 
@@ -134,55 +138,48 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature",
 def admissible_signatures(G: int, L: int) -> list[OrbifoldSignature]:
     """All signatures of period L that an automorphism on genus G can have.
 
-    For each quotient genus g the Riemann-Hurwitz relation prescribes the
-    total orbit-length deficiency sum(L - l_i); the multisets of proper
-    divisors of L meeting it are enumerated directly.  L = 1 admits exactly
-    the trivial signature (g = G, no branch points).  A negative genus or a
-    period below 1 is a ValueError, as for :func:`sensed_table`.
+    :func:`sensed_table`'s enumeration at the quotient cap top = 2(G + L),
+    which never binds: the genus loop stops at min(G, (top - 1) // 2) = G,
+    and the entry cap top + 2 - 2g exceeds by 4 + 2g(L - 1) the deficiency
+    L(2 - 2g) - 2 + 2G, which bounds the branch points (each deficiency is
+    at least 1).  L = 1 admits exactly the trivial signature (g = G, no
+    branch points).  A negative genus or a period below 1 is a ValueError.
     """
     if G < 0 or L < 1:
         raise ValueError("need genus >= 0 and period >= 1")
-    return _signatures(G, L, None, _arithmetic(L))
+    return [OrbifoldSignature(L, g, tuple(l for l, q in branch for _ in range(q)))
+            for g, branch in _signatures(G, L, 2 * (G + L), _arithmetic(L))]
 
 
-def _signatures(G: int, L: int, top: int | None,
-                arith: _Arithmetic) -> list[OrbifoldSignature]:
-    """:func:`admissible_signatures`, or with ``top`` only those whose quotient
-    fits in ``top`` darts: max(Q, 3) + 2g - 2 <= top for Q branch points.  The
-    cap on Q is applied while the multisets are enumerated.  The divisors of
-    L come from ``arith``, a table reaching at least L."""
+def _signatures(G: int, L: int, top: int, arith: _Arithmetic) -> list:
+    """The signatures (g, branch) of period L on genus G whose quotient fits
+    in ``top`` darts: max(Q, 3) + 2g - 2 <= top for Q branch points.
+    ``branch`` holds the nonzero counts as (orbit length, count) pairs,
+    ascending in length.  Riemann-Hurwitz prescribes each g's total deficiency sum(L - l).  The
+    count of each orbit length is chosen in turn, smallest length first,
+    and a branch stops once the largest deficiency left cannot make up the
+    remainder in the entries still allowed.  The divisors of L come from
+    ``arith``, a table reaching at least L."""
     sigs = []
     parts = [L - l for l in arith.divisors[L][:-1]]    # descending
-    # max(Q, 3) <= top + 2 - 2g needs 2g + 1 <= top
-    last = G if top is None else min(G, (top - 1) // 2)
-    for g in range(last + 1):
-        need = L * (2 - 2 * g) - (2 - 2 * G)
-        if need < 0:
-            continue
-        # uncapped, need bounds Q, as every deficiency is at least 1
-        cap = need if top is None else top + 2 - 2 * g
-        for lens in _deficiency_multisets(need, parts, L, cap):
-            sigs.append(OrbifoldSignature(L, g, lens))
-    return sigs
 
-
-def _deficiency_multisets(need, parts, L, cap):
-    """Orbit-length multisets (sorted tuples) of at most ``cap`` entries whose
-    deficiencies, taken from the distinct values ``parts`` (descending), sum
-    to ``need``.  A branch stops once the largest part left cannot make up
-    the remainder in the entries still allowed."""
-    def rec(rem, idx, acc):
+    def rec(g, rem, idx, room, branch):
         if rem == 0:
-            yield tuple(acc)    # lengths L - p ascend as p descends
+            sigs.append((g, branch))
         elif idx < len(parts):
             p = parts[idx]
-            room = cap - len(acc)
             if rem > p * room:
                 return
             for k in range(rem // p + 1):     # rem // p <= room, by the test above
-                yield from rec(rem - k * p, idx + 1, acc + [L - p] * k)
+                rec(g, rem - k * p, idx + 1, room - k,
+                    branch + ((L - p, k),) if k else branch)
 
-    return rec(need, 0, [])
+    # max(Q, 3) <= top + 2 - 2g needs 2g + 1 <= top
+    for g in range(min(G, (top - 1) // 2) + 1):
+        need = L * (2 - 2 * g) - (2 - 2 * G)
+        if need >= 0:
+            rec(g, need, 0, top + 2 - 2 * g, ())
+    return sigs
 
 
 def epi0(sig: OrbifoldSignature) -> int:
@@ -210,25 +207,23 @@ def epi0(sig: OrbifoldSignature) -> int:
     is checked to be exact.  The divisors, mu and phi come from one table
     built for L (:func:`sensed_table` builds one per call and shares it).
     """
-    return _epi0(sig, _arithmetic(sig.period))
+    lengths = sig.orbit_lengths
+    branch = tuple((l, lengths.count(l)) for l in sorted(set(lengths)))
+    return _epi0(sig.period, sig.quotient_genus, branch, _arithmetic(sig.period))
 
 
-def _epi0(sig: OrbifoldSignature, arith: _Arithmetic) -> int:
-    L = sig.period
+def _epi0(L: int, g: int, branch: tuple, arith: _Arithmetic) -> int:
     divisors, mobius, totient = arith.divisors, arith.mobius, arith.totient
-    orders: dict[int, int] = {}    # branch index m -> k_m
-    for length in sig.orbit_lengths:
-        m = L // length
-        orders[m] = orders.get(m, 0) + 1
+    orders = [(L // length, k) for length, k in branch]    # (m, k_m)
     total = 0
     for l in divisors[L]:
         mu = mobius[L // l]
-        if mu == 0 or any(l % m for m in orders):
+        if mu == 0 or any(l % m for m, _ in orders):
             continue
         chars = 0
         for d in divisors[l]:
             term = totient[l // d]
-            for m, k in orders.items():
+            for m, k in orders:
                 mh = m // gcd(m, d)    # m / h
                 c = mobius[mh]
                 if c == 0:
@@ -239,26 +234,27 @@ def _epi0(sig: OrbifoldSignature, arith: _Arithmetic) -> int:
         C, r = divmod(chars, l)
         if r:
             raise InexactDivisionError(
-                f"character sum {chars} for {sig} not divisible by {l}")
-        total += mu * l ** (2 * sig.quotient_genus) * C
+                f"character sum {chars} for period {L}, quotient genus {g}, "
+                f"branch points {branch} not divisible by {l}")
+        total += mu * l ** (2 * g) * C
     return total
 
 
-def _branch_distributions(orbit_lengths: tuple[int, ...], factorials) -> list:
+def _branch_distributions(branch: tuple, binoms: list) -> list:
     """Split the branch points among vertex, hyperedge and face cells.  Branch
     points of one orbit length are indistinguishable, so the q branch points
-    of each orbit length i split once as q = w_i + b_i + f_i.  One entry per
-    split: the branch points per cell kind, (sw, sb, sf) = (sum(w_i),
-    sum(b_i), sum(f_i)); the lifted cells they make, (Wb, Bb, Fb) =
-    (sum(i * w_i), sum(i * b_i), sum(i * f_i)); and the product of
-    w_i! * b_i! * f_i! over the lengths, read from ``factorials``."""
+    of each pair (i, q) in ``branch`` split once as q = w_i + b_i + f_i.  One
+    entry per split: the branch points per cell kind, (sw, sb, sf) =
+    (sum(w_i), sum(b_i), sum(f_i)); the lifted cells they make, (Wb, Bb, Fb)
+    = (sum(i * w_i), sum(i * b_i), sum(i * f_i)); and ``ways`` =
+    sw! sb! sf! / prod(w_i! b_i! f_i!), a running product of C(sw + w_i, w_i)
+    C(sb + b_i, b_i) C(sf + f_i, f_i) from ``binoms[k][n]`` = C(n, k)."""
     splits = [((0, 0, 0), (0, 0, 0), 1)]
-    for i in sorted(set(orbit_lengths)):
-        q = orbit_lengths.count(i)
+    for i, q in branch:
         splits = [((sw + wi, sb + bi, sf + fi),
                    (Wb + i * wi, Bb + i * bi, Fb + i * fi),
-                   prod * factorials[wi] * factorials[bi] * factorials[fi])
-                  for (sw, sb, sf), (Wb, Bb, Fb), prod in splits
+                   ways * binoms[wi][sw + wi] * binoms[bi][sb + bi] * binoms[fi][sf + fi])
+                  for (sw, sb, sf), (Wb, Bb, Fb), ways in splits
                   for wi in range(q + 1)
                   for bi in range(q - wi + 1)
                   for fi in (q - wi - bi,)]
@@ -281,7 +277,7 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     with 2g + 1 > max_darts // L is tried, and a multiset of orbit lengths
     stops growing at max_darts // L + 2 - 2g entries, so a signature that
     cannot contribute is never built (:func:`admissible_signatures` runs the
-    same enumeration uncapped).
+    same enumeration at a cap that never binds), each as (g, branch).
 
     The sum visits only canonical output keys W >= B >= F.  In the shifted
     exponents W' = w - sw, B' = b - sb, F' = f - sf, which add up to
@@ -304,14 +300,13 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     table of binomials C(n, k), for n <= max_darts + 2 quotient cells and
     k <= max_darts // 2 + 2 branch points (the most a period L >= 2
     admits), is built per call, and beside it one arithmetic table: the
-    divisors, Moebius mu and Euler phi of 1..max_darts, and the factorials
-    up to that branch-point bound.  The signatures take the divisors of L
-    from it, epi0 is the character sum of :func:`epi0` over it, and a
-    split's constant sw! sb! sf! / prod(w_i! b_i! f_i!) is read from its
-    factorials and joins epi0 once per split, the face binomial once per
-    F'.  Each canonical total is checked for exact division by E; its
-    quotient is then stored at every permutation of (W, B, F), and
-    :class:`CountTable` checks each row.
+    divisors, Moebius mu and Euler phi of 1..max_darts.  The signatures take
+    the divisors of L from it, and epi0 is the character sum of :func:`epi0`
+    over it.  A split's constant sw! sb! sf! / prod(w_i! b_i! f_i!) is its
+    ``ways``, a product of binomials from the binomial table, and joins epi0
+    once per split, the face binomial once per F'.  Each canonical total is
+    checked for exact division by E; its quotient is then stored at every
+    permutation of (W, B, F), and :class:`CountTable` checks each row.
     """
     if G < 0 or max_darts < 1:
         raise ValueError("need genus >= 0 and max_darts >= 1")
@@ -322,19 +317,17 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     binoms = [[comb(n, k) for n in range(max_darts + 3)]
               for k in range(max_darts // 2 + 3)]
     arith = _arithmetic(max_darts)
-    fact = arith.factorials
     for L in range(1, max_darts + 1):
         top = max_darts // L
-        for sig in _signatures(G, L, top, arith):
-            weight0 = _epi0(sig, arith)
+        for g, branch in _signatures(G, L, top, arith):
+            weight0 = _epi0(L, g, branch, arith)
             if weight0 == 0:
                 continue
-            g = sig.quotient_genus
             if g not in quotients:    # top only falls as L grows
                 quotients[g] = [None] + [rooted.coefficients(g, d)
                                          for d in range(1, top + 1)]
             cells = quotients[g]
-            for (sw, sb, sf), (Wb, Bb, Fb), prod in _branch_distributions(sig.orbit_lengths, fact):
+            for (sw, sb, sf), (Wb, Bb, Fb), ways in _branch_distributions(branch, binoms):
                 c_bf = -((Bb - Fb) // L)    # ceil((Fb - Bb) / L)
                 c_wb = -((Wb - Bb) // L)    # ceil((Bb - Wb) / L)
                 shift = 2 * g - 2 + sw + sb + sf    # d - rest
@@ -346,12 +339,11 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
                             shift + b0, shift + 2 * b0 + c_wb)
                 if first > top:
                     continue
-                weight = weight0 * fact[sw] * fact[sb] * fact[sf] // prod
+                weight = weight0 * ways
                 mw, mb, mf = binoms[sw], binoms[sb], binoms[sf]
                 for d in range(first, top + 1):
+                    # d >= first >= 2g + 1: RootedCensus._store leaves no such cell empty
                     row, coeff = cells[d]
-                    if not coeff:
-                        continue
                     E = L * d
                     R = d - shift                        # rest - F'
                     lo = c_bf                            # F' + c_bf

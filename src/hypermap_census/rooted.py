@@ -266,8 +266,8 @@ class RootedCensus:
         deg = d + 2 - 2 * g
         if v < 1 or e < 1 or f < 1 or v + e + f != deg:
             return 0
-        cell = self._cells.get((g, d))
-        return cell[self._slots[deg][1][f] + e] if cell else 0
+        # deg >= 3 makes d >= 2g + 1, where _store leaves no cell empty
+        return self._cells[g, d][self._slots[deg][1][f] + e]
 
     def total(self, g: int, d: int) -> int:
         """All rooted hypermaps of genus g with d darts."""

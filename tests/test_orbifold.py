@@ -21,17 +21,37 @@ def as_pairs(sigs):
     return {(s.quotient_genus, s.orbit_lengths) for s in sigs}
 
 
+def lengths(branch):
+    """The sorted orbit lengths of (orbit length, count) pairs."""
+    return tuple(l for l, q in branch for _ in range(q))
+
+
 def test_signature_examples():
     assert as_pairs(admissible_signatures(1, 1)) == {(1, ())}
     assert as_pairs(admissible_signatures(1, 2)) == {(1, ()), (0, (1, 1, 1, 1))}
     assert as_pairs(admissible_signatures(0, 3)) == {(0, (1, 1))}
 
 
+def check_signatures_by_search(max_genus, max_period):
+    """The enumeration at its never-binding cap 2(G + L) finds every
+    signature an unstructured search finds, and no other; returns how many."""
+    found = 0
+    for G in range(max_genus + 1):
+        for L in range(1, max_period + 1):
+            sigs = admissible_signatures(G, L)
+            assert as_pairs(sigs) == signatures_by_search(G, L), (G, L)
+            found += len(sigs)
+    return found
+
+
 def test_signatures_match_unstructured_search():
-    for G in range(0, 4):
-        for L in range(1, 13):
-            assert as_pairs(admissible_signatures(G, L)) == \
-                signatures_by_search(G, L), (G, L)
+    # every signature library-sweep's count covers
+    assert check_signatures_by_search(10, 30) == 844
+
+
+@pytest.mark.deep
+def test_signatures_match_unstructured_search_at_the_deep_caps():
+    assert check_signatures_by_search(24, 50) == 5426
 
 
 def test_signature_validation_and_derived_fields():
@@ -45,7 +65,14 @@ def test_signature_validation_and_derived_fields():
         OrbifoldSignature(4, 0, (4,))    # orbit length must be proper
 
 
-@pytest.mark.parametrize("period,quotient_genus", [(0, 0), (-1, 1), (2, -1)])
+@pytest.mark.parametrize("orbit_lengths", [(0,), (-2,), (-1, -1), (2.0,), (True,)])
+def test_signature_rejects_orbit_lengths_that_cannot_exist(orbit_lengths):
+    with pytest.raises(ValueError):
+        OrbifoldSignature(4, 0, orbit_lengths)
+
+
+@pytest.mark.parametrize("period,quotient_genus", [(0, 0), (-1, 1), (2, -1),
+                                                  (2, 0.5), (True, 0)])
 def test_signature_rejects_bad_period_or_quotient_genus(period, quotient_genus):
     with pytest.raises(ValueError):
         OrbifoldSignature(period, quotient_genus, ())
@@ -58,8 +85,8 @@ def test_admissible_signatures_rejects_bad_bounds(G, L):
 
 
 def test_every_admissible_signature_covers_its_genus():
-    for G in range(0, 4):
-        for L in range(1, 13):
+    for G in range(11):
+        for L in range(1, 31):
             for sig in admissible_signatures(G, L):
                 assert sig.covered_genus() == G
 
@@ -86,7 +113,7 @@ def test_epi0_checks_its_division_by_the_subgroup_order():
     arith = _arithmetic(4)
     bad = arith._replace(totient=arith.totient[:4] + [3])
     with pytest.raises(InexactDivisionError):
-        _epi0(OrbifoldSignature(4, 0, (1, 1, 2)), bad)
+        _epi0(4, 0, ((1, 2), (2, 1)), bad)    # OrbifoldSignature(4, 0, (1, 1, 2))
 
 
 @pytest.mark.deep
@@ -96,7 +123,8 @@ def test_epi0_against_divisor_lattice_convolution():
     checked = 0
     for G in range(25):
         for L in range(1, 51):
-            for sig in _signatures(G, L, 50 // L, _arithmetic(L)):
+            for g, branch in _signatures(G, L, 50 // L, _arithmetic(L)):
+                sig = OrbifoldSignature(L, g, lengths(branch))
                 assert epi0(sig) == epi_count_by_convolution(*sig), sig
                 checked += 1
     assert checked == 2413
@@ -174,7 +202,8 @@ def test_capped_signatures_are_the_admissible_ones_that_fit():
             uncapped = admissible_signatures(G, L)
             arith = _arithmetic(L)
             for top in range(50 // L + 1):
-                assert _signatures(G, L, top, arith) == [
+                assert [OrbifoldSignature(L, g, lengths(branch))
+                        for g, branch in _signatures(G, L, top, arith)] == [
                     sig for sig in uncapped
                     if max(len(sig.orbit_lengths), 3) + 2 * sig.quotient_genus - 2 <= top]
 
@@ -221,12 +250,20 @@ def test_branch_points_of_one_length_split_once(orbit_lengths):
     """Equal orbit lengths are indistinguishable: the q points of one length
     split among vertices, hyperedges and faces in C(q + 2, 2) ways, each once,
     and the multinomials q! / (w_i! b_i! f_i!) over all splits add up to the
-    3**Q ways to place Q distinguishable points."""
-    splits = _branch_distributions(orbit_lengths, _arithmetic(10).factorials)
-    qs = [orbit_lengths.count(i) for i in set(orbit_lengths)]
+    3**Q ways to place Q distinguishable points: prod(q_i!) * ways / (sw! sb! sf!)
+    for a split whose ways is sw! sb! sf! / prod(w_i! b_i! f_i!)."""
+    branch = tuple((i, orbit_lengths.count(i)) for i in sorted(set(orbit_lengths)))
+    binoms = [[math.comb(n, k) for n in range(8)] for k in range(6)]
+    splits = _branch_distributions(branch, binoms)
+    qs = [q for _, q in branch]
     assert len(splits) == math.prod((q + 1) * (q + 2) // 2 for q in qs)
     qs_factorial = math.prod(math.factorial(q) for q in qs)
-    assert sum(qs_factorial // prod for _, _, prod in splits) == 3 ** len(orbit_lengths)
-    for (sw, sb, sf), (Wb, Bb, Fb), prod in splits:
+    total = 0
+    for (sw, sb, sf), (Wb, Bb, Fb), ways in splits:
         assert sw + sb + sf == len(orbit_lengths) and Wb + Bb + Fb == sum(orbit_lengths)
-        assert math.factorial(sw) * math.factorial(sb) * math.factorial(sf) % prod == 0
+        multinomials, r = divmod(
+            qs_factorial * ways,
+            math.factorial(sw) * math.factorial(sb) * math.factorial(sf))
+        assert r == 0
+        total += multinomials
+    assert total == 3 ** len(orbit_lengths)
