@@ -108,7 +108,9 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature",
 
     Every field is an ``int`` (not a ``bool``), and every orbit length l is a
     proper divisor of the period, 0 < l < period; the branch index of a
-    branch point is period // orbit_length (always >= 2).
+    branch point is period // orbit_length (always >= 2).  The orbit lengths
+    are stored as a sorted tuple, so two signatures with the same multiset
+    of lengths are equal, and every signature is hashable.
     """
 
     __slots__ = ()
@@ -117,10 +119,10 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature",
         if type(period) is not int or type(quotient_genus) is not int \
                 or period < 1 or quotient_genus < 0:
             raise ValueError("need integers period >= 1 and quotient genus >= 0")
-        if any(type(l) is not int or not 0 < l < period or period % l
-               for l in orbit_lengths):
+        lengths = tuple(orbit_lengths)
+        if any(type(l) is not int or not 0 < l < period or period % l for l in lengths):
             raise ValueError(f"orbit lengths must be proper divisors of {period}")
-        return super().__new__(cls, period, quotient_genus, orbit_lengths)
+        return super().__new__(cls, period, quotient_genus, tuple(sorted(lengths)))
 
     @property
     def branch_indices(self) -> tuple[int, ...]:
@@ -143,10 +145,11 @@ def admissible_signatures(G: int, L: int) -> list[OrbifoldSignature]:
     and the entry cap top + 2 - 2g exceeds by 4 + 2g(L - 1) the deficiency
     L(2 - 2g) - 2 + 2G, which bounds the branch points (each deficiency is
     at least 1).  L = 1 admits exactly the trivial signature (g = G, no
-    branch points).  A negative genus or a period below 1 is a ValueError.
+    branch points).  A genus or period that is not an ``int`` (or is a
+    ``bool``), a negative genus or a period below 1 is a ValueError.
     """
-    if G < 0 or L < 1:
-        raise ValueError("need genus >= 0 and period >= 1")
+    if type(G) is not int or type(L) is not int or G < 0 or L < 1:
+        raise ValueError("need integers genus >= 0 and period >= 1")
     return [OrbifoldSignature(L, g, tuple(l for l, q in branch for _ in range(q)))
             for g, branch in _signatures(G, L, 2 * (G + L), _arithmetic(L))]
 
@@ -265,8 +268,9 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     """Sensed hypermap counts of genus G for all dart counts up to max_darts.
 
     ``rooted`` must cover genus up to G and darts up to max_darts (quotients
-    never exceed either bound).  A negative genus or fewer than one dart is a
-    ValueError, as for :class:`RootedCensus`.
+    never exceed either bound).  A bound that is not an ``int`` (or is a
+    ``bool``), a negative genus or fewer than one dart is a ValueError, as
+    for :class:`RootedCensus`.
 
     Each branch point sits on its own quotient cell, so a distribution that
     puts sw, sb and sf branch points on vertices, hyperedges and faces only
@@ -308,8 +312,8 @@ def sensed_table(G: int, max_darts: int, rooted: RootedCensus) -> CountTable:
     checked for exact division by E; its quotient is then stored at every
     permutation of (W, B, F), and :class:`CountTable` checks each row.
     """
-    if G < 0 or max_darts < 1:
-        raise ValueError("need genus >= 0 and max_darts >= 1")
+    if type(G) is not int or type(max_darts) is not int or G < 0 or max_darts < 1:
+        raise ValueError("need integers genus >= 0 and max_darts >= 1")
     if G > rooted.max_genus or max_darts > rooted.max_darts:
         raise NotFilledError("rooted census does not cover the requested bounds")
     acc: dict[tuple[int, int, int], int] = {}

@@ -140,14 +140,16 @@ class RootedCensus:
     Filling happens once, in the constructor, walking dart counts upward (a
     cell depends only on smaller dart counts); afterwards the census is
     immutable and safe to read from any thread, with bit-identical results
-    whatever the query order.
+    whatever the query order.  Both bounds must be ``int`` (not ``bool``),
+    max_genus >= 0 and max_darts >= 1; anything else is a ValueError.
     """
 
     engine = "kz"
 
     def __init__(self, max_genus: int, max_darts: int):
-        if max_genus < 0 or max_darts < 1:
-            raise ValueError("need max_genus >= 0 and max_darts >= 1")
+        if type(max_genus) is not int or type(max_darts) is not int \
+                or max_genus < 0 or max_darts < 1:
+            raise ValueError("need integers max_genus >= 0 and max_darts >= 1")
         self.max_genus = max_genus
         self.max_darts = max_darts
         # slot keys and row offsets per degree, up to degree max_darts + 2

@@ -10,18 +10,14 @@ kind has one product kernel, the degree-k part of a product, on which ``*``,
 TypeError.
 
 * :class:`USeries` - univariate, truncated at a fixed order N, for the
-  dart-count series H_g(z) of genus g <= 6.  These are given in closed form
-  through an auxiliary parameter: either tau with z = tau*(1 - 2*tau), or t
-  with z = t/(1 + 2*t)**2.  Both parameters are developed as series in z one
-  degree at a time, to the order asked for (correctness of the defining
-  relation is asserted).  Each closed form is data: integer polynomials A, B
-  and a shift s with H_g = z**s * A(param) / B(param), built per genus from
-  the embedded numerators and binomial expansions of the denominator factors,
-  whose exponents 4g - 3 and 5g - 3 are one formula for every g >= 1 (the
-  table is in :func:`hg_univariate` and :func:`hg_via_t`).  One walk
-  over the powers of the parameter evaluates A and B together, and one
-  series division gives the quotient (:func:`_rational_at`).  The two
-  routes share no coefficient data and must agree coefficientwise.
+  dart-count series H_g(z) of genus g <= 6, in closed form through a
+  parameter: tau with z = tau*(1 - 2*tau), or t with z = t/(1 + 2*t)**2, as
+  H_g = z**s * A(param) / B(param) for integer polynomials A, B built per
+  genus from the embedded numerators and the denominator factors, one
+  formula for every g >= 1 (the table is in :func:`hg_univariate` and
+  :func:`hg_via_t`).  Lagrange inversion of param = z * phi(param) reads
+  F = A / B in z off F' and the powers of phi, each division by a degree
+  checked exact (:func:`_lagrange`); the routes share no data and must agree.
 
 * :class:`TSeries` - trivariate by total degree, for the vertex/hyperedge/
   face-refined series H_g(x, y, u) of genus g <= 2.  The parameters p, q, r
@@ -49,7 +45,7 @@ from __future__ import annotations
 from math import comb
 from operator import add, mul
 
-from .core import CensusError
+from .core import CensusError, InexactDivisionError
 from .series_data import GENUS_NUMERATOR_E, GENUS_NUMERATOR_T, GENUS_NUMERATOR_TAU
 
 MAX_UNIVARIATE_GENUS = 6
@@ -207,10 +203,7 @@ class USeries(_Series):
         return self.parts[k] if k >= 0 else 0
 
     def valuation(self) -> int:
-        for i, a in enumerate(self.parts):
-            if a != 0:
-                return i
-        return self.order + 1
+        return next((i for i, a in enumerate(self.parts) if a != 0), self.order + 1)
 
     def integer_coefficients(self) -> list[int]:
         """Coefficients as nonnegative ints; error if any coefficient is not."""
@@ -264,34 +257,46 @@ def _poly_product(a: list, b: list) -> list:
     return [USeries._product_part(a, b, k) for k in range(len(a) + len(b) - 1)]
 
 
-def _rational_at(param: USeries, num: list, den: list, shift: int) -> USeries:
-    """z**shift * num(param) / den(param), for integer polynomials ``num`` and
-    ``den`` (ascending coefficients) and a parameter series with no constant
-    term, to the parameter's order N.
+def _tau_row(m: int) -> list[int]:
+    """[w**k] phi**m = C(m+k-1, k) * 2**k, k < m, for phi = 1/(1 - 2*w)."""
+    row = [1]
+    for k in range(1, m):
+        row.append(row[-1] * (2 * (m + k - 1)) // k)
+    return row
 
-    param**k has valuation k, so only the powers k <= N - shift reach the
-    result.  One walk forms each power from the last, from degree k on, and
-    adds it into num(param) and den(param), both to order max(N - shift, 0);
-    their quotient by ``/`` (which needs den[0] = +-1, even when the shift
-    passes N) is then shifted up by z**shift."""
-    n = max(param.order - shift, 0)
-    top = min(max(len(num), len(den)) - 1, n)
-    num = num + [0] * (top + 1 - len(num))
-    den = den + [0] * (top + 1 - len(den))
-    a = [num[0]] + [0] * n
-    b = [den[0]] + [0] * n
-    power = [1] + [0] * n
-    back = param.parts[n:0:-1]           # back[n - m] = param[m], m = 1..n
-    for k in range(1, top + 1):
-        # degree j of param**k pairs param**(k-1) at degrees k-1..j-1
-        # with param at degrees j-k+1 down to 1
-        power[k - 1:] = [0] + [sum(map(mul, power[k - 1:j], back[n - j + k - 1:]))
-                               for j in range(k, n + 1)]
-        if num[k]:
-            a[k:] = [v + num[k] * w for v, w in zip(a[k:], power[k:])]
-        if den[k]:
-            b[k:] = [v + den[k] * w for v, w in zip(b[k:], power[k:])]
-    return USeries([0] * shift + (USeries(a, n) / USeries(b, n)).parts, param.order)
+
+def _t_row(m: int) -> list[int]:
+    """[w**k] phi**m = C(2m, k) * 2**k, k < m, for phi = (1 + 2*w)**2."""
+    row = [1]
+    for k in range(1, m):
+        row.append(row[-1] * (2 * (2 * m - k + 1)) // k)
+    return row
+
+
+def _lagrange(num: list, den: list, shift: int, order: int, row) -> USeries:
+    """z**shift * F to order N, for F = num(w) / den(w) (integer polynomials,
+    ascending) and w = z * phi(w), ``row(m)`` listing [w**k] phi**m for k < m.
+    Lagrange inversion gives [z**0] F = F_0 and, each division by m checked,
+
+        [z**m] F = (1/m) * sum over j < m of (j+1) * F_(j+1) * [w**(m-1-j)] phi**m.
+
+    Only m <= n = max(N - shift, 0) count: ``/`` forms F to order n."""
+    n = max(order - shift, 0)
+    f = (USeries(num, n) / USeries(den, n)).parts
+    slope = [(j + 1) * f[j + 1] for j in range(n)]     # F'(w)
+    out = [f[0]]
+    for m in range(1, n + 1):
+        q, r = divmod(USeries._product_part(slope, row(m), m - 1), m)
+        if r:
+            raise InexactDivisionError(f"Lagrange sum at z^{m} not divisible by {m}")
+        out.append(q)
+    return USeries([0] * shift + out, order)
+
+
+def _check_bounds(g: int, order: int, max_genus: int, kind: str) -> None:
+    """ValueError unless 0 <= g <= max_genus and order >= 1 are ints, not bools."""
+    if type(g) is not int or type(order) is not int or not 0 <= g <= max_genus or order < 1:
+        raise ValueError(f"no closed {kind} form for genus {g!r} to order {order!r}")
 
 
 def _tau_form(g: int) -> tuple[list, list, int]:
@@ -319,11 +324,10 @@ def hg_univariate(g: int, order: int) -> USeries:
         g = 1..6:    s = 2g - 2,  A = 4*tau**3 * N_g(tau),
                                   B = (1 - tau)**(4g-3) * (1 - 4*tau)**(5g-3)
 
-    with N_g = ``GENUS_NUMERATOR_TAU[g]`` for g >= 2 and A = tau**3 at g = 1
-    (:func:`_rational_at`)."""
-    if not 0 <= g <= MAX_UNIVARIATE_GENUS:
-        raise ValueError(f"no closed univariate form for genus {g}")
-    out = _rational_at(tau_of_z(order), *_tau_form(g))
+    with N_g = ``GENUS_NUMERATOR_TAU[g]`` for g >= 2 and A = tau**3 at g = 1,
+    by Lagrange inversion of tau = z / (1 - 2*tau) (:func:`_lagrange`)."""
+    _check_bounds(g, order, MAX_UNIVARIATE_GENUS, "univariate")
+    out = _lagrange(*_tau_form(g), order, _tau_row)
     out.integer_coefficients()
     return out
 
@@ -336,11 +340,10 @@ def hg_via_t(g: int, order: int) -> USeries:
         g = 1..6:    A = 4*t**(2g+1) * (1 + 2*t) * M_g(t),
                      B = (1 + t)**(4g-3) * (1 - 2*t)**(5g-3)
 
-    with M_g = ``GENUS_NUMERATOR_T[g]`` for g >= 2 and A = t**3 at g = 1; no
-    data is shared with the tau route."""
-    if not 0 <= g <= MAX_UNIVARIATE_GENUS:
-        raise ValueError(f"no closed univariate form for genus {g}")
-    out = _rational_at(t_of_z(order), *_t_form(g))
+    with M_g = ``GENUS_NUMERATOR_T[g]`` for g >= 2 and A = t**3 at g = 1, by
+    Lagrange inversion of t = z * (1 + 2*t)**2; no data is shared with the tau route."""
+    _check_bounds(g, order, MAX_UNIVARIATE_GENUS, "univariate")
+    out = _lagrange(*_t_form(g), order, _t_row)
     out.integer_coefficients()
     return out
 
@@ -560,10 +563,7 @@ def hg_trivariate(g: int, order: int) -> TSeries:
 
     The genus-0 series carries no constant term: the count starts at the
     one-dart hypermap, the empty hypermap is not included."""
-    if not 0 <= g <= MAX_TRIVARIATE_GENUS:
-        raise ValueError(f"no closed trivariate form for genus {g}")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_bounds(g, order, MAX_TRIVARIATE_GENUS, "trivariate")
     e1, e2, e3 = _elementary_of_symmetric(max(order - 3, 1))
     square = (1 - e1) ** 2
     num = 1 - e1

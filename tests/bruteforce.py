@@ -1,8 +1,8 @@
 """Independent brute-force oracles used only by the test suite.
 
 These enumerate structures at the definition level (permutation pairs on a
-labelled dart set, tuples in cyclic groups) so they share no code path with
-the engines they check.
+labelled dart set, tuples in cyclic groups, powers of a parameter series) so
+they share no code path with the engines they check.
 """
 
 from __future__ import annotations
@@ -191,3 +191,30 @@ def signatures_by_search(G: int, L: int) -> set:
                 if 2 - 2 * G == L * (2 - 2 * g) - sum(L - l for l in lens):
                     found.add((g, tuple(sorted(lens))))
     return found
+
+
+def rational_at_by_powers(param: list, num: list, den: list, shift: int) -> list:
+    """Coefficients 0..N of z**shift * num(param) / den(param), for the
+    coefficients 0..N of a parameter series with no constant term and integer
+    polynomials ``num`` and ``den`` (ascending coefficients, den[0] = +-1).
+
+    param**k has valuation k, so only the powers k <= n = max(N - shift, 0)
+    reach the result.  A walk forms each power from the last and adds it into
+    num(param) and den(param), both to order n; their quotient is solved one
+    degree at a time and shifted up by z**shift."""
+    order = len(param) - 1
+    n = max(order - shift, 0)
+    assert den[0] in (1, -1), den[0]
+    a, b, power = [0] * (n + 1), [0] * (n + 1), [1] + [0] * n
+    for k in range(min(max(len(num), len(den)) - 1, n) + 1):
+        if k:
+            power = [sum(power[i] * param[j - i] for i in range(j)) for j in range(n + 1)]
+        for acc, poly in ((a, num), (b, den)):
+            if k < len(poly):
+                for j in range(n + 1):
+                    acc[j] += poly[k] * power[j]
+    quotient = []
+    for j in range(n + 1):
+        rest = a[j] - sum(b[i] * quotient[j - i] for i in range(1, j + 1))
+        quotient.append(den[0] * rest)
+    return ([0] * shift + quotient + [0] * (order + 1))[:order + 1]

@@ -84,6 +84,29 @@ def test_admissible_signatures_rejects_bad_bounds(G, L):
         admissible_signatures(G, L)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: admissible_signatures(1.5, 2),
+    lambda: admissible_signatures(1, 2.0),
+    lambda: admissible_signatures(True, 2),
+    lambda: sensed_table(1.0, 4, RootedCensus(1, 4)),
+    lambda: sensed_table(1, 4.0, RootedCensus(1, 4)),
+    lambda: sensed_table(True, 4, RootedCensus(1, 4)),
+    lambda: sensed_table(1, True, RootedCensus(1, 4)),
+], ids=["G-float", "L-float", "G-bool",
+        "sensed-G-float", "sensed-darts-float", "sensed-G-bool", "sensed-darts-bool"])
+def test_bounds_must_be_ints(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_signature_orbit_lengths_are_stored_sorted():
+    sig = OrbifoldSignature(4, 0, [2, 1, 1])
+    assert sig.orbit_lengths == (1, 1, 2)
+    assert OrbifoldSignature(4, 0, (2, 1, 1)) == OrbifoldSignature(4, 0, (1, 1, 2))
+    assert hash(sig) == hash(OrbifoldSignature(4, 0, (1, 1, 2)))
+    assert epi0(sig) == epi0(OrbifoldSignature(4, 0, (1, 1, 2)))
+
+
 def test_every_admissible_signature_covers_its_genus():
     for G in range(11):
         for L in range(1, 31):

@@ -83,6 +83,12 @@ def test_fill_rejects_bad_bounds():
         RootedCensus(0, 0)
 
 
+@pytest.mark.parametrize("max_genus,max_darts", [(1.0, 4), (1, 4.0), (True, 4), (1, True)])
+def test_fill_bounds_must_be_ints(max_genus, max_darts):
+    with pytest.raises(ValueError):
+        RootedCensus(max_genus, max_darts)
+
+
 class _UnfilledCensus(RootedCensus):
     """``RootedCensus`` that covers its bounds but holds only the base cell."""
 

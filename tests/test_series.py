@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from hypermap_census import (
+    InexactDivisionError,
     NonIntegerCoefficientError,
     RootedCensus,
     TSeries,
@@ -22,7 +23,11 @@ from hypermap_census.series import (
     MAX_UNIVARIATE_GENUS,
     _elementary_of_symmetric,
     _expand_symmetric,
-    _rational_at,
+    _lagrange,
+    _t_form,
+    _t_row,
+    _tau_form,
+    _tau_row,
 )
 from hypermap_census.series import _poly_product as poly_product
 from hypermap_census.series_data import (
@@ -31,6 +36,7 @@ from hypermap_census.series_data import (
     GENUS_NUMERATOR_TAU,
     PLANAR_BRACKET_POLY,
 )
+from bruteforce import rational_at_by_powers
 
 
 def lagrange_tau_coefficient(n: int) -> int:
@@ -44,6 +50,9 @@ def test_tau_against_lagrange_inversion():
     for n in range(1, 9):
         assert tau.coefficient(n) == lagrange_tau_coefficient(n)
     assert [tau.coefficient(k) for k in range(6)] == [0, 1, 2, 8, 40, 224]
+    # the kernel with F(w) = w reads off each parameter series itself
+    assert _lagrange([0, 1], [1], 0, 30, _tau_row) == tau_of_z(30)
+    assert _lagrange([0, 1], [1], 0, 30, _t_row) == t_of_z(30)
 
 
 def test_tau_defining_relation_closes():
@@ -137,18 +146,60 @@ def test_products_match_the_schoolbook_product():
             assert USeries(a, n) ** 3 == USeries(cube, n), (a, n)
 
 
-def test_rational_at_guards():
-    tau = tau_of_z(6)
-    for den in ([2, 1], [0, 1], [-3]):
-        with pytest.raises(ValuationError):
-            _rational_at(tau, [1], den, 0)
-    assert _rational_at(tau, [1, 1], [1, -1], 7) == USeries.constant(0, 6)
-    assert _rational_at(tau, [1, 1], [1, -1], 6) == USeries([0] * 6 + [1], 6)
+def test_lagrange_guards():
+    for row in (_tau_row, _t_row):
+        for den in ([2, 1], [0, 1], [-3]):
+            # the divisor is checked even when the shift passes the order
+            for shift in (0, 7):
+                with pytest.raises(ValuationError):
+                    _lagrange([1], den, shift, 6, row)
+        assert _lagrange([1, 1], [1, -1], 7, 6, row) == USeries.constant(0, 6)
+        assert _lagrange([1, 1], [1, -1], 6, 6, row) == USeries([0] * 6 + [1], 6)
     # a constant term of -1 divides as well: tau / (tau - 1) = -tau / (1 - tau)
-    assert _rational_at(tau, [0, 1], [-1, 1], 0) == -1 * tau * (1 - tau).inverse()
-    # the divisor is checked even when the shift passes the order
-    with pytest.raises(ValuationError):
-        _rational_at(tau, [1], [2, 1], 7)
+    tau = tau_of_z(6)
+    assert _lagrange([0, 1], [-1, 1], 0, 6, _tau_row) == -1 * tau * (1 - tau).inverse()
+
+
+ROUTES = [(hg_univariate, tau_of_z, _tau_form), (hg_via_t, t_of_z, _t_form)]
+
+
+@pytest.mark.parametrize("order", [*range(1, 31), 50, pytest.param(100, marks=pytest.mark.deep)])
+def test_lagrange_kernel_matches_the_power_walk(order):
+    """Both routes, every genus, against the walk over the parameter's powers."""
+    for build, param, form in ROUTES:
+        walk_param = param(order).parts
+        for g in range(MAX_UNIVARIATE_GENUS + 1):
+            assert build(g, order).parts == rational_at_by_powers(walk_param, *form(g)), \
+                (build.__name__, g)
+
+
+@pytest.mark.parametrize("form,row", [
+    (_tau_form, lambda m: [0] + _tau_row(m)[:-1]),                               # times w
+    (_tau_form, lambda m: [comb(m + k, k + 1) << (k + 1) for k in range(m)]),   # over w
+    (_t_form, lambda m: [0] + _t_row(m)[:-1]),
+    (_t_form, lambda m: [comb(2 * m, k + 1) << (k + 1) for k in range(m)]),
+], ids=["tau-up", "tau-down", "t-up", "t-down"])
+def test_lagrange_division_catches_a_row_shifted_by_one_degree(form, row):
+    for g in range(MAX_UNIVARIATE_GENUS + 1):
+        with pytest.raises(InexactDivisionError):
+            _lagrange(*form(g), 30, row)
+
+
+def _without_powers_of_two(row):
+    return lambda m: [c >> k for k, c in enumerate(row(m))]
+
+
+@pytest.mark.parametrize("form,row,other", [
+    (_tau_form, _without_powers_of_two(_tau_row), hg_via_t),
+    (_tau_form, _t_row, hg_via_t),
+    (_t_form, _without_powers_of_two(_t_row), hg_univariate),
+    (_t_form, _tau_row, hg_univariate),
+])
+def test_routes_disagree_on_a_wrong_row_that_divides_exactly(form, row, other):
+    """A row without its 2**k, or the other route's row, passes every
+    division by m; only the other route's series tells it apart."""
+    for g in range(MAX_UNIVARIATE_GENUS + 1):
+        assert _lagrange(*form(g), 30, row) != other(g, 30), g
 
 
 def _check_division(num, den, sign):
@@ -289,6 +340,18 @@ def test_order_zero_is_rejected(build, genera):
     for g in genera:
         with pytest.raises(ValueError):
             build(g, 0)
+
+
+@pytest.mark.parametrize("build,g,order", [
+    (hg_univariate, 1.0, 5), (hg_univariate, 0.0, 5), (hg_univariate, 1, 5.0),
+    (hg_univariate, True, 5), (hg_univariate, 1, True),
+    (hg_via_t, 2.0, 5), (hg_via_t, 1, 5.0), (hg_via_t, True, 5),
+    (hg_trivariate, 0, 2.0), (hg_trivariate, 1.0, 3), (hg_trivariate, 0, True),
+    (hg_trivariate, True, 3),
+])
+def test_bounds_must_be_ints(build, g, order):
+    with pytest.raises(ValueError):
+        build(g, order)
 
 
 def _poly_product(a: dict, b: dict) -> dict:
